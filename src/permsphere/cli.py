@@ -8,7 +8,7 @@ import json
 import sys
 
 from . import enumeration, growth, verify as verify_mod
-from .enumeration import beta_table, count_report, size_bound
+from .enumeration import beta_table, count_report, split_cells
 from .metrics import MetricId, distance, distance_to_identity
 from .perm import Permutation
 
@@ -56,7 +56,7 @@ def _cmd_count(args, ball: bool) -> int:
     metric = _metric(args.metric)
     try:
         report = count_report(metric, args.n, args.radius, ball=ball, method=args.method)
-    except (ValueError, enumeration.EnumerationCapError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     row = report.as_dict()
@@ -85,26 +85,20 @@ def cmd_beta(args) -> int:
         print("error: give exactly one of --k or --radius", file=sys.stderr)
         return 1
     radius = args.radius if args.radius is not None else 2 * args.k
+    single = args.m is not None and args.q is not None
     try:
         table = beta_table(metric)
-        bound = size_bound(metric, radius)
-        cells = []
-        if args.m is not None and args.q is not None:
-            cells.append((args.m, args.q))
-        else:
-            for q in range(1, bound + 1):
-                if args.q is not None and q != args.q:
-                    continue
-                for m in range(2 * q, q + bound + 1):
-                    if args.m is not None and m != args.m:
-                        continue
-                    cells.append((m, q))
-        rows = []
-        for m, q in cells:
-            value = table.beta(radius, m, q)
-            if value or (args.m is not None and args.q is not None):
-                rows.append({"radius": radius, "m": m, "q": q, "beta": str(value)})
-    except (ValueError, enumeration.EnumerationCapError) as exc:
+        cells = [(args.m, args.q)] if single else [
+            (m, q)
+            for m, q in split_cells(metric, radius)
+            if args.m in (None, m) and args.q in (None, q)
+        ]
+        rows = [
+            {"radius": radius, "m": m, "q": q, "beta": str(value)}
+            for m, q in cells
+            if (value := table.beta(radius, m, q)) or single
+        ]
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not rows:
@@ -136,16 +130,20 @@ def cmd_poly(args) -> int:
                 _emit_rows(args.format, rows, [])
             else:
                 _emit_rows(args.format, [row], [str(poly)])
-    except (ValueError, enumeration.EnumerationCapError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
 
 
 def cmd_verify(args) -> int:
-    report = verify_mod.run_verify(
-        max_n=args.max_n, max_k=args.max_k, include_printed_p6=args.include_printed_p6
-    )
+    try:
+        report = verify_mod.run_verify(
+            max_n=args.max_n, max_k=args.max_k, include_printed_p6=args.include_printed_p6
+        )
+    except enumeration.EnumerationCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.format == "json":
         print(json.dumps(report.as_dict(), indent=2))
     elif args.format == "csv":
@@ -171,9 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
         "under right-invariant metrics.",
     )
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--threads", type=int, default=None, help="worker processes for enumeration")
     parser.add_argument(
-        "--max-enum-degree", type=int, default=None, help="largest symmetric group to enumerate"
+        "--max-enum-degree", type=int, default=None,
+        help="largest symmetric group the oracle enumerates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -225,10 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        enumeration.set_threads(args.threads)
     if args.max_enum_degree is not None:
-        enumeration.set_max_degree(args.max_enum_degree)
+        try:
+            enumeration.set_max_degree(args.max_enum_degree)
+        except ValueError as exc:
+            print(f"error: --max-enum-degree: {exc}", file=sys.stderr)
+            return 1
     return args.fn(args)
 
 

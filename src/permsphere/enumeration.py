@@ -1,28 +1,27 @@
-"""Exhaustive enumeration over S_m and the split-type counting pipeline.
+"""Exhaustive enumeration over S_n and the split-type counting pipeline.
 
 Two independent counting paths live here:
 
 * the brute-force oracle, which sweeps all of S_n and tallies distances,
-* the pipeline, which combines connected-part counts through the
-  composition convolution and weighs each (m, q) cell by the guarded
-  binomial [n+q-m choose q].
+* the pipeline, which counts connected parts in polynomial time, combines
+  them through the composition convolution and weighs each (m, q) cell by
+  the guarded binomial [n+q-m choose q].
 
-Cross-validating the two is the whole point of the package, so nothing in
-the pipeline reuses the oracle's sweep of S_n (the pipeline only ever
-enumerates *connected* permutations, and only up to degree n + 1).
+Cross-validating the two is the whole point of the package, so the pipeline
+never enumerates a symmetric group and never reads the oracle's sweep.
 """
 from __future__ import annotations
 
 import itertools
 import logging
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import lru_cache
+from typing import Iterator
 
 from .metrics import MetricId, raw_distance_fn
-from .perm import Permutation, guarded_binom
+from .perm import guarded_binom
 
 log = logging.getLogger(__name__)
 
@@ -43,7 +42,6 @@ def _env_int(name: str, default: int) -> int:
 
 
 _max_degree = _env_int("MAX_ENUM_DEGREE", DEFAULT_MAX_DEGREE)
-_threads = _env_int("THREADS", 1)
 
 
 class EnumerationCapError(ValueError):
@@ -57,86 +55,17 @@ def set_max_degree(cap: int) -> None:
     _max_degree = cap
 
 
-def get_max_degree() -> int:
-    return _max_degree
-
-
-def set_threads(n: int) -> None:
-    global _threads
-    if n < 1:
-        raise ValueError("thread count must be positive")
-    _threads = n
-
-
-def get_threads() -> int:
-    return _threads
-
-
-def _check_cap(m: int) -> None:
-    if m > _max_degree:
+def check_cap(n: int) -> None:
+    """Refuse an oracle sweep of S_n above the configured cap."""
+    if n > _max_degree:
         raise EnumerationCapError(
-            f"enumerating S_{m} exceeds the configured cap of {_max_degree}"
+            f"enumerating S_{n} exceeds the configured cap of {_max_degree}"
         )
-    if m > _COMFORT_DEGREE:
-        log.warning("enumerating S_%d (%d permutations); this may take a while", m, math.factorial(m))
+    if n > _COMFORT_DEGREE:
+        log.warning("enumerating S_%d (%d permutations); this may take a while", n, math.factorial(n))
 
 
-# -- deterministic iteration over S_m -------------------------------------
-
-
-def _unrank(m: int, index: int) -> list[int]:
-    """The ``index``-th word of S_m in lexicographic order (factorial base)."""
-    available = list(range(1, m + 1))
-    word = []
-    for pos in range(m, 0, -1):
-        f = math.factorial(pos - 1)
-        d, index = divmod(index, f)
-        word.append(available.pop(d))
-    return word
-
-
-def _advance(word: list[int]) -> bool:
-    """In-place lexicographic successor; False at the last word."""
-    n = len(word)
-    i = n - 2
-    while i >= 0 and word[i] >= word[i + 1]:
-        i -= 1
-    if i < 0:
-        return False
-    j = n - 1
-    while word[j] <= word[i]:
-        j -= 1
-    word[i], word[j] = word[j], word[i]
-    word[i + 1 :] = reversed(word[i + 1 :])
-    return True
-
-
-def iterate_group(m: int, *, start: int = 0, stop: int | None = None) -> Iterator[Permutation]:
-    """Yield the permutations of S_m in lexicographic order.
-
-    ``start``/``stop`` select a half-open index range so callers can
-    partition the group into disjoint chunks for parallel consumption;
-    chunked iteration visits exactly the same permutations in the same
-    order as one full pass.
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    _check_cap(m)
-    total = math.factorial(m)
-    if stop is None:
-        stop = total
-    if not (0 <= start <= stop <= total):
-        raise ValueError(f"invalid index range [{start}, {stop}) for S_{m} with {total} elements")
-    if start == stop:
-        return
-    word = _unrank(m, start)
-    for _ in range(stop - start):
-        yield Permutation(tuple(word))
-        if not _advance(word):
-            break
-
-
-# -- histogram sweeps (cached) --------------------------------------------
+# -- histograms (cached) --------------------------------------------------
 
 _group_hist_cache: dict[tuple[MetricId, int], dict[int, int]] = {}
 _conn_hist_cache: dict[tuple[MetricId, int], dict[int, int]] = {}
@@ -151,68 +80,87 @@ def _sweep_group(metric: MetricId, n: int) -> dict[int, int]:
     return hist
 
 
-def _sweep_connected_chunk(args: tuple[MetricId, int, int]) -> dict[int, int]:
-    """Histogram over connected words of S_m starting with a fixed value.
-
-    Any word starting with 1 has a cut at position 1 (for m >= 2), so the
-    caller only dispatches first values 2..m.
-    """
-    metric, m, first = args
-    dist = raw_distance_fn(metric)
-    hist: dict[int, int] = {}
-    rest = [v for v in range(1, m + 1) if v != first]
-    last = m - 1
-    for tail in itertools.permutations(rest):
-        w = (first,) + tail
-        running_max = first
-        connected = True
-        for i in range(1, last):
-            v = w[i]
-            if v > running_max:
-                running_max = v
-            if running_max == i + 1:
-                connected = False
-                break
-        if connected:
-            d = dist(w)
-            hist[d] = hist.get(d, 0) + 1
-    return hist
-
-
 def group_histogram(metric: MetricId, n: int) -> dict[int, int]:
     """Distance histogram of all of S_n (the oracle's sweep)."""
     if n < 1:
         raise ValueError("n must be positive")
-    _check_cap(n)
+    check_cap(n)
     key = (metric, n)
     if key not in _group_hist_cache:
         _group_hist_cache[key] = _sweep_group(metric, n)
     return _group_hist_cache[key]
 
 
+def _l1_connected(m: int) -> dict[int, int]:
+    """Total displacement over the connected permutations of S_m, by a scan
+    of positions (Diaconis and Graham; Guay-Paquet and Petersen).
+
+    After position i the state k counts the positions <= i holding values
+    > i, which is also the number of values <= i placed after i. Position i
+    and value i either pair with each other, or each takes one of the k
+    open values or positions, or stays open: k -> k+1 in 1 way, k -> k in
+    2k+1 ways, k -> k-1 in k^2 ways. The k open positions and the k open
+    values all cross the gap after i, so each step adds 2k to the distance.
+    The word is connected when k >= 1 after every i < m and k = 0 at
+    i = m; k <= m - i keeps only states that can still close.
+    """
+    states = {(0, 0): 1}  # (k, distance) -> count
+    for i in range(1, m + 1):
+        nxt: dict[tuple[int, int], int] = {}
+        for (k, d), count in states.items():
+            for k2, ways in ((k + 1, 1), (k, 2 * k + 1), (k - 1, k * k)):
+                if (k2 == 0) != (i == m) or not 0 <= k2 <= m - i:
+                    continue
+                key = (k2, d + 2 * k2)
+                nxt[key] = nxt.get(key, 0) + count * ways
+        states = nxt
+    return {d: count for (_, d), count in states.items()}
+
+
+@lru_cache(maxsize=None)
+def _q_factorial(n: int) -> tuple[int, ...]:
+    """Coefficients of [n]_q! = prod_{i<=n} (1 + q + ... + q^(i-1)): the
+    inversion counts of S_n."""
+    if n == 0:
+        return (1,)
+    out = [0] * (len(_q_factorial(n - 1)) + n - 1)
+    for d, c in enumerate(_q_factorial(n - 1)):
+        for j in range(n):
+            out[d + j] += c
+    return tuple(out)
+
+
+def _kendall_connected(metric: MetricId, m: int) -> dict[int, int]:
+    """Inversions over the connected permutations of S_m, by Comtet's
+    inversion of [m]_q! = sum_j C_j(q) [m-j]_q!: a permutation is its first
+    connected part, of degree j, followed by any permutation of the rest."""
+    total = list(_q_factorial(m))
+    for j in range(1, m):
+        first = connected_histogram(metric, j) if j > 1 else {0: 1}
+        rest = _q_factorial(m - j)
+        for d1, c1 in first.items():
+            for d2, c2 in enumerate(rest):
+                total[d1 + d2] -= c1 * c2
+    return {d: c for d, c in enumerate(total) if c}
+
+
 def connected_histogram(metric: MetricId, m: int) -> dict[int, int]:
-    """Distance histogram of the connected permutations of S_m.
+    """Distance histogram of the connected permutations of S_m, for an
+    additive metric, computed without enumerating S_m.
 
     Degree-1 words never occur as split-type parts, so m < 2 yields an
     empty histogram.
     """
     if m < 2:
         return {}
-    _check_cap(m)
     key = (metric, m)
     if key not in _conn_hist_cache:
-        chunks = [(metric, m, first) for first in range(2, m + 1)]
-        if _threads > 1 and m >= 9:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(min(_threads, len(chunks))) as pool:
-                partials = pool.map(_sweep_connected_chunk, chunks)
+        if metric.kind == "l1":
+            _conn_hist_cache[key] = _l1_connected(m)
+        elif metric.kind == "kendall":
+            _conn_hist_cache[key] = _kendall_connected(metric, m)
         else:
-            partials = [_sweep_connected_chunk(c) for c in chunks]
-        hist: dict[int, int] = {}
-        for part in partials:
-            for d, c in part.items():
-                hist[d] = hist.get(d, 0) + c
-        _conn_hist_cache[key] = hist
+            raise ValueError(f"no connected-part count for the non-additive metric {metric.name}")
     return _conn_hist_cache[key]
 
 
@@ -257,7 +205,9 @@ class BetaTable:
 
     q >= 2 cells are assembled from the connected base by folding one part
     at a time over the (radius, size) grid; this is the composition
-    convolution without ever materializing compositions.
+    convolution without ever materializing compositions. A part of degree
+    m1 lies at distance at least step * (m1 - 1), so a split type of degree
+    m with q parts lies at distance at least step * (m - q).
     """
 
     def __init__(self, metric: MetricId):
@@ -266,36 +216,25 @@ class BetaTable:
                 f"beta tables require an additive metric (l1 or kendall), got {metric.name}"
             )
         self.metric = metric
+        self.step = radius_step(metric)
         self._memo: dict[tuple[int, int, int], int] = {}
 
-    @property
-    def connected_cap(self) -> int:
-        """Largest part degree whose connected counts have been enumerated."""
-        sizes = [m for (mt, m) in _conn_hist_cache if mt == self.metric]
-        return max(sizes, default=0)
-
-    @property
-    def entries(self) -> dict[tuple[int, int, int], int]:
-        return dict(self._memo)
-
     def beta(self, radius: int, m: int, q: int) -> int:
-        step = radius_step(self.metric)
-        if q < 1 or m < 2 * q or radius < q * step:
+        step = self.step
+        if q < 1 or m < 2 * q or radius % step or radius < step * (m - q):
             return 0
         if q == 1:
-            value = connected_beta(self.metric, radius, m)
-            self._memo[(radius, m, 1)] = value
-            return value
+            return connected_beta(self.metric, radius, m)
         key = (radius, m, q)
         if key not in self._memo:
             total = 0
-            min_rest = (q - 1) * step
             for m1 in range(2, m - 2 * (q - 1) + 1):
-                for r1, count in connected_histogram(self.metric, m1).items():
-                    if r1 + min_rest <= radius:
-                        rest = self.beta(radius - r1, m - m1, q - 1)
-                        if rest:
-                            total += count * rest
+                hist = connected_histogram(self.metric, m1)
+                # the other q - 1 parts need at least step * (m - m1 - q + 1)
+                for r1 in range(step * (m1 - 1), radius - step * (m - m1 - q + 1) + 1, step):
+                    count = hist.get(r1)
+                    if count:
+                        total += count * self.beta(radius - r1, m - m1, q - 1)
             self._memo[key] = total
         return self._memo[key]
 
@@ -336,38 +275,68 @@ def size_bound(metric: MetricId, radius: int) -> int:
     raise ValueError(f"no split-type size bound available for {metric.name}")
 
 
-def pipeline_sphere(metric: MetricId, n: int, radius: int) -> int:
-    """Sphere cardinality via the split-type sum, exact for every n >= 1.
-
-    Cells with m - q > n are skipped: their guarded binomial is zero, and
-    skipping them keeps the connected base within S_{n+1}.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    if radius == 0:
-        return 1
-    if metric.kind == "l1" and radius % 2 == 1:
-        return 0
+def split_cells(metric: MetricId, radius: int) -> Iterator[tuple[int, int]]:
+    """The (m, q) cells a split type at this radius can occupy: q parts of
+    total degree m, with 2q <= m and m - q <= N(R)."""
     bound = size_bound(metric, radius)
-    table = beta_table(metric)
-    total = 0
     for q in range(1, bound + 1):
         for m in range(2 * q, q + bound + 1):
-            if m - q > n:
-                break
-            b = table.beta(radius, m, q)
-            if b:
-                total += b * guarded_binom(n + q - m, q)
-    return total
+            yield m, q
+
+
+Terms = tuple[tuple[int, int, int], ...]  # (coefficient, m, q)
+_sphere_terms: dict[tuple[MetricId, int], Terms] = {}
+_ball_terms: dict[tuple[MetricId, int], Terms] = {}
+
+
+def sphere_terms(metric: MetricId, radius: int) -> Terms:
+    """The nonzero terms (beta(R, m, q), m, q) of the radius-R sphere, by cell."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    key = (metric, radius)
+    if key not in _sphere_terms:
+        if radius == 0:
+            terms: Terms = ((1, 0, 0),)
+        else:
+            table = beta_table(metric)
+            terms = tuple(
+                (b, m, q) for m, q in split_cells(metric, radius) if (b := table.beta(radius, m, q))
+            )
+        _sphere_terms[key] = terms
+    return _sphere_terms[key]
+
+
+def ball_terms(metric: MetricId, radius: int) -> Terms:
+    """The terms of the radius-R ball: the sphere terms summed over radii <= R."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    key = (metric, radius)
+    if key not in _ball_terms:
+        acc: dict[tuple[int, int], int] = {}
+        for r in (0, *attainable_radii(metric, radius)):
+            for c, m, q in sphere_terms(metric, r):
+                acc[(m, q)] = acc.get((m, q), 0) + c
+        _ball_terms[key] = tuple((c, m, q) for (m, q), c in acc.items())
+    return _ball_terms[key]
+
+
+def evaluate_terms(terms: Terms, n: int) -> int:
+    """The guarded sum of c * [n+q-m choose q]: an exact count for every n >= 1."""
+    return sum(c * guarded_binom(n + q - m, q) for c, m, q in terms)
+
+
+def pipeline_sphere(metric: MetricId, n: int, radius: int) -> int:
+    """Sphere cardinality via the split-type sum, exact for every n >= 1."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return evaluate_terms(sphere_terms(metric, radius), n)
 
 
 def pipeline_ball(metric: MetricId, n: int, radius: int) -> int:
-    """Ball cardinality: the identity plus all attainable smaller spheres."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    return 1 + sum(pipeline_sphere(metric, n, r) for r in attainable_radii(metric, radius))
+    """Ball cardinality via the split-type sum, exact for every n >= 1."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return evaluate_terms(ball_terms(metric, radius), n)
 
 
 # -- reports --------------------------------------------------------------

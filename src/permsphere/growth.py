@@ -7,14 +7,12 @@ monomial expansion over exact rationals is a derived view.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
-from .enumeration import attainable_radii, beta_table, size_bound
+from .enumeration import ball_terms, evaluate_terms, sphere_terms
 from .metrics import L1, MetricId
 from .perm import guarded_binom
 
@@ -74,7 +72,7 @@ class BinomialPoly:
 
     def evaluate(self, n: int) -> int:
         """Guarded evaluation: exact for every n >= 1."""
-        return sum(c * guarded_binom(n + q - m, q) for c, m, q in self.terms)
+        return evaluate_terms(self.terms, n)
 
     def evaluate_unguarded(self, n: int) -> int:
         """Plain binomial evaluation; only valid in the polynomial range."""
@@ -179,42 +177,12 @@ class RationalPoly:
 
 def sphere_polynomial(metric: MetricId, radius: int) -> BinomialPoly:
     """The counting polynomial for spheres of the given radius."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    if radius == 0:
-        return BinomialPoly(((1, 0, 0),), metric.name, 0)
-    if metric.kind == "l1" and radius % 2 == 1:
-        return BinomialPoly((), metric.name, radius)
-    bound = size_bound(metric, radius)
-    table = beta_table(metric)
-    terms = []
-    for q in range(1, bound + 1):
-        for m in range(2 * q, q + bound + 1):
-            b = table.beta(radius, m, q)
-            if b:
-                terms.append((b, m, q))
-    return BinomialPoly(tuple(terms), metric.name, radius)
+    return BinomialPoly(sphere_terms(metric, radius), metric.name, radius)
 
 
 def ball_polynomial(metric: MetricId, radius: int) -> BinomialPoly:
-    """The counting polynomial for balls: constant 1 plus the alpha terms."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    table = beta_table(metric)
-    acc: dict[tuple[int, int], int] = {(0, 0): 1}
-    for r in attainable_radii(metric, radius):
-        bound = size_bound(metric, r)
-        for q in range(1, bound + 1):
-            for m in range(2 * q, q + bound + 1):
-                b = table.beta(r, m, q)
-                if b:
-                    acc[(m, q)] = acc.get((m, q), 0) + b
-    terms = tuple((c, m, q) for (m, q), c in acc.items())
-    return BinomialPoly(terms, metric.name, radius)
-
-
-def eval_guarded(poly: BinomialPoly, n: int) -> int:
-    return poly.evaluate(n)
+    """The counting polynomial for balls: the sphere terms of every radius up to this one."""
+    return BinomialPoly(ball_terms(metric, radius), metric.name, radius)
 
 
 def to_rational(poly: BinomialPoly) -> RationalPoly:
@@ -314,17 +282,10 @@ def q_polynomial(k: int) -> BinomialPoly:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    table = beta_table(L1)
-    acc: dict[tuple[int, int], int] = {}
-    for q in range(1, k + 1):
-        for m in range(max(2 * q, k + q - 3), k + q + 1):
-            b = table.beta(2 * k, m, q)
-            if b:
-                acc[(m, q)] = acc.get((m, q), 0) + b
+    terms = [(c, m, q) for c, m, q in sphere_terms(L1, 2 * k) if m >= k + q - 3]
     if k >= 9:
-        acc[(2 * k - 12, k - 8)] = acc.get((2 * k - 12, k - 8), 0) + 36 * (k - 8)
-    terms = tuple((c, m, q) for (m, q), c in acc.items())
-    return BinomialPoly(terms, "l1", 2 * k)
+        terms.append((36 * (k - 8), 2 * k - 12, k - 8))
+    return BinomialPoly(tuple(terms), "l1", 2 * k)
 
 
 def r_polynomial(k: int) -> BinomialPoly:

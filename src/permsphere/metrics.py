@@ -40,10 +40,6 @@ class MetricId:
         return self.kind in _ADDITIVE_KINDS
 
     @property
-    def split_type_invariant(self) -> bool:
-        return True
-
-    @property
     def name(self) -> str:
         return f"lp:{self.p}" if self.kind == "lp" else self.kind
 

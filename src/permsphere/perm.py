@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 
 def guarded_binom(i: int, j: int) -> int:

@@ -11,14 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import growth
 from .enumeration import (
     attainable_radii,
     beta,
+    check_cap,
+    group_histogram,
     oracle_ball,
     oracle_sphere,
     pipeline_ball,
     pipeline_sphere,
+    split_cells,
 )
 from .growth import (
     NOT_COVERED,
@@ -166,6 +168,7 @@ def _oracle_vs_pipeline(report: VerifyReport, metric, n: int, radii) -> None:
 
 
 def run_verify(max_n: int = 6, max_k: int = 6, include_printed_p6: bool = False) -> VerifyReport:
+    check_cap(max_n)
     report = VerifyReport()
 
     # pipeline vs oracle, l1 and Kendall
@@ -241,19 +244,18 @@ def run_verify(max_n: int = 6, max_k: int = 6, include_printed_p6: bool = False)
     undercounts = False
     checked = 0
     for k in range(1, max_k + 1):
-        for q in range(1, k + 1):
-            for m in range(2 * q, k + q + 1):
-                cf = closed_form_beta(k, m, q)
-                if cf is NOT_COVERED:
-                    continue
-                conv = beta(L1, 2 * k, m, q)
-                checked += 1
-                if cf != conv:
-                    bad.append(f"(k={k},m={m},q={q}): closed {cf} vs table {conv}")
-                if disputed_beta_cell(k, m, q):
-                    published = published_second_drop_beta(k, q)
-                    disputed.append(f"(k={k},m={m},q={q}): published {published}, table {conv}")
-                    undercounts = undercounts or published != conv
+        for m, q in split_cells(L1, 2 * k):
+            cf = closed_form_beta(k, m, q)
+            if cf is NOT_COVERED:
+                continue
+            conv = beta(L1, 2 * k, m, q)
+            checked += 1
+            if cf != conv:
+                bad.append(f"(k={k},m={m},q={q}): closed {cf} vs table {conv}")
+            if disputed_beta_cell(k, m, q):
+                published = published_second_drop_beta(k, q)
+                disputed.append(f"(k={k},m={m},q={q}): published {published}, table {conv}")
+                undercounts = undercounts or published != conv
     report.add(
         Check(
             name="closed-forms-vs-convolution",
@@ -351,7 +353,7 @@ def run_verify(max_n: int = 6, max_k: int = 6, include_printed_p6: bool = False)
         if m > max_n:
             continue
         got = max_distance(L1, m)
-        brute = max(d for d in oracle_histogram_keys(m))
+        brute = max(group_histogram(L1, m))
         if got != expected or brute != expected:
             bad.append(f"m={m}: closed {got}, brute {brute}, expected {expected}")
         if m in MAX_L1_SPHERE and oracle_sphere(L1, m, expected) != MAX_L1_SPHERE[m]:
@@ -367,9 +369,3 @@ def run_verify(max_n: int = 6, max_k: int = 6, include_printed_p6: bool = False)
     )
 
     return report
-
-
-def oracle_histogram_keys(m: int):
-    from .enumeration import group_histogram
-
-    return group_histogram(L1, m).keys()

@@ -31,6 +31,28 @@ def word_inversions(w: tuple[int, ...]) -> int:
     return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
 
 
+def brute_connected_histogram(dist, m: int) -> dict[int, int]:
+    """Distance histogram of the connected words of S_m, by a full sweep."""
+    hist: dict[int, int] = {}
+    for w in words(m):
+        if word_is_connected(w):
+            d = dist(w)
+            hist[d] = hist.get(d, 0) + 1
+    return hist
+
+
+def mahonian(n: int) -> list[int]:
+    """Permutations of S_n by inversion count: M(n, k) is the sum of
+    M(n-1, k-j) over the j <= n-1 inversions the last value can add."""
+    row = [1]
+    for size in range(2, n + 1):
+        row = [
+            sum(row[k - j] for j in range(size) if 0 <= k - j < len(row))
+            for k in range(len(row) + size - 1)
+        ]
+    return row
+
+
 def word_cycles(w: tuple[int, ...]) -> int:
     """Number of nontrivial cycles."""
     seen = [False] * len(w)

@@ -4,7 +4,6 @@ All equalities are exact big-integer equalities.  Run with ``pytest -s
 tests/test_acceptance.py`` to see the per-criterion lines.
 """
 import math
-import os
 import random
 from fractions import Fraction
 
@@ -35,7 +34,6 @@ from permsphere import (
     sphere_polynomial,
     to_rational,
 )
-from permsphere.enumeration import set_threads
 from permsphere.growth import NOT_COVERED, derangements
 from permsphere.metrics import max_l1
 from permsphere.verify import (
@@ -46,8 +44,6 @@ from permsphere.verify import (
 )
 
 from helpers import word_cycles, word_is_connected, word_l1, words
-
-set_threads(os.cpu_count() or 1)
 
 
 def report(name: str, ok: bool) -> None:
@@ -119,7 +115,7 @@ def test_criterion_05_closed_forms_vs_enumeration():
         closed = closed_form_beta(k, k - 1, 1)
         if enumerated != closed:
             print(
-                f"    second-drop closed form at k={k}: published {closed}, "
+                f"    second-drop closed form at k={k}: closed form {closed}, "
                 f"enumerated {enumerated}, fitted correction {fitted_second_drop_beta(k, 1)}"
             )
             ok = False
@@ -141,7 +137,7 @@ def test_criterion_06_convolution_vs_closed_forms():
                 if cf != conv:
                     print(
                         f"    closed form vs table at (k={k},m={m},q={q}): "
-                        f"published {cf}, table {conv}"
+                        f"closed form {cf}, table {conv}"
                     )
                     ok = False
     for k in (9, 10):

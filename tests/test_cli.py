@@ -1,10 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from permsphere import enumeration
 from permsphere.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *args):
@@ -71,6 +78,10 @@ class TestSphereBall:
         code = main(["sphere", "--metric", "l1", "--n", "14", "--radius", "2", "--method", "oracle"])
         captured = capsys.readouterr()
         assert code == 1 and "cap" in captured.err
+
+    def test_pipeline_beyond_the_oracle_cap(self, capsys):
+        code, out = run(capsys, "sphere", "--metric", "l1", "--n", "30", "--radius", "26")
+        assert code == 0 and out.startswith("pipeline: ")
 
 
 class TestBeta:
@@ -149,3 +160,35 @@ class TestVerify:
     def test_trivial(self, capsys):
         code, out = run(capsys, "verify", "--max-n", "2", "--max-k", "1")
         assert code == 0
+
+    def test_over_cap_fails_before_sweeping(self, capsys, monkeypatch):
+        swept = []
+        monkeypatch.setattr(enumeration, "_max_degree", 12)
+        monkeypatch.setattr(enumeration, "_group_hist_cache", {})
+        monkeypatch.setattr(enumeration, "_sweep_group", lambda metric, n: swept.append(n) or {})
+        code = main(["verify", "--max-n", "13"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and swept == []
+        assert captured.err == "error: enumerating S_13 exceeds the configured cap of 12\n"
+
+    def test_lowered_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(enumeration, "_max_degree", enumeration._max_degree)
+        code = main(["--max-enum-degree", "4", "verify", "--max-n", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: enumerating S_5 exceeds the configured cap of 4\n"
+
+
+class TestOptions:
+    def test_zero_max_enum_degree(self, capsys):
+        code = main(["--max-enum-degree", "0", "dist", "--metric", "l1", "--perm", "2 1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == "error: --max-enum-degree: cap must be positive\n"
+
+    def test_python_m_permsphere(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "permsphere", "dist", "--metric", "l1", "--perm", "2 1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stdout == "2\n"

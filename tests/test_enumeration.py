@@ -12,41 +12,32 @@ from permsphere import (
     beta,
     connected_beta,
     count_report,
-    iterate_group,
     oracle_ball,
     oracle_sphere,
     pipeline_ball,
     pipeline_sphere,
 )
-from permsphere.enumeration import EnumerationCapError, attainable_radii
+from permsphere.enumeration import (
+    EnumerationCapError,
+    attainable_radii,
+    connected_histogram,
+    group_histogram,
+)
 from permsphere.metrics import max_l1
 
-from helpers import direct_split_type_counts, word_is_connected, word_l1, words
+from helpers import (
+    brute_connected_histogram,
+    direct_split_type_counts,
+    mahonian,
+    word_inversions,
+    word_is_connected,
+    word_l1,
+    words,
+)
 
-
-class TestIterateGroup:
-    def test_s1(self):
-        assert [p.word for p in iterate_group(1)] == [(1,)]
-
-    def test_s3_lexicographic(self):
-        got = [p.word for p in iterate_group(3)]
-        assert got == sorted(words(3))
-        assert len(got) == 6
-
-    def test_cap(self):
-        with pytest.raises(EnumerationCapError, match="cap"):
-            next(iterate_group(13))
-
-    def test_partitioning(self):
-        full = [p.word for p in iterate_group(4)]
-        chunked = []
-        for start in range(0, 24, 7):
-            chunked.extend(p.word for p in iterate_group(4, start=start, stop=min(start + 7, 24)))
-        assert chunked == full
-
-    def test_bad_range(self):
-        with pytest.raises(ValueError):
-            list(iterate_group(3, start=5, stop=2))
+# OEIS A003319: connected (indecomposable) permutations of S_m, m = 2..15.
+A003319 = [1, 3, 13, 71, 461, 3447, 29093, 273343, 2829325, 31998903, 392743957,
+           5201061455, 73943424413, 1123596277863]
 
 
 class TestOracle:
@@ -66,6 +57,37 @@ class TestOracle:
 
     def test_ball_saturates_at_group_order(self):
         assert oracle_ball(L1, 5, max_l1(5)) == math.factorial(5)
+
+    def test_cap(self):
+        with pytest.raises(EnumerationCapError, match="cap"):
+            group_histogram(L1, 13)
+
+
+class TestConnectedBase:
+    @pytest.mark.parametrize(
+        "metric, dist", [(L1, word_l1), (KENDALL, word_inversions)], ids=["l1", "kendall"]
+    )
+    def test_matches_brute_force(self, metric, dist):
+        for m in range(2, 9):
+            assert connected_histogram(metric, m) == brute_connected_histogram(dist, m)
+
+    @pytest.mark.parametrize("metric", [L1, KENDALL], ids=["l1", "kendall"])
+    def test_totals_are_a003319(self, metric):
+        assert [sum(connected_histogram(metric, m).values()) for m in range(2, 16)] == A003319
+
+    def test_degree_one_is_empty(self):
+        assert connected_histogram(L1, 1) == {} and connected_histogram(KENDALL, 0) == {}
+
+    def test_non_additive_refused(self):
+        with pytest.raises(ValueError, match="non-additive"):
+            connected_histogram(HAMMING, 3)
+
+    def test_never_capped(self, monkeypatch):
+        from permsphere import enumeration
+
+        monkeypatch.setattr(enumeration, "_max_degree", 4)
+        monkeypatch.setattr(enumeration, "_conn_hist_cache", {})
+        assert sum(connected_histogram(L1, 14).values()) == A003319[12]
 
 
 class TestConnectedBeta:
@@ -114,8 +136,6 @@ class TestBeta:
 
     @pytest.mark.parametrize("m", range(2, 7))
     def test_convolution_vs_direct_assembly_kendall(self, m):
-        from helpers import word_inversions
-
         direct = direct_split_type_counts(word_inversions, m)
         radii = {r for r, _ in direct}
         for q in range(1, m // 2 + 1):
@@ -197,6 +217,16 @@ class TestPipeline:
     def test_non_additive_refused(self):
         with pytest.raises(ValueError):
             pipeline_sphere(HAMMING, 5, 2)
+
+    def test_ball_of_maximal_radius_is_the_group(self):
+        for n in range(1, 12):
+            assert pipeline_ball(L1, n, max_l1(n)) == math.factorial(n)
+            assert pipeline_ball(KENDALL, n, n * (n - 1) // 2) == math.factorial(n)
+
+    def test_kendall_spheres_are_mahonian(self):
+        for n in range(1, 12):
+            counts = mahonian(n)
+            assert [pipeline_sphere(KENDALL, n, r) for r in range(len(counts) + 1)] == counts + [0]
 
 
 class TestSupportBounds:

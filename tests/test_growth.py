@@ -14,11 +14,11 @@ from permsphere import (
     beta,
     closed_form_beta,
     connected_beta,
-    eval_guarded,
     hamming_sphere,
     leading_term_check,
     oracle_ball,
     oracle_sphere,
+    pipeline_ball,
     pipeline_sphere,
     q_polynomial,
     r_polynomial,
@@ -91,22 +91,32 @@ class TestBallPolynomial:
             assert poly.evaluate(n) == oracle_ball(L1, n, 4)
 
 
+class TestPipelineIsPolynomialEvaluation:
+    @pytest.mark.parametrize("metric", [L1, KENDALL], ids=["l1", "kendall"])
+    def test_sphere_and_ball(self, metric):
+        for radius in range(17):
+            sphere, ball = sphere_polynomial(metric, radius), ball_polynomial(metric, radius)
+            for n in range(1, 13):
+                assert pipeline_sphere(metric, n, radius) == sphere.evaluate(n)
+                assert pipeline_ball(metric, n, radius) == ball.evaluate(n)
+
+
 class TestEvalGuarded:
     def test_p6_at_5(self):
-        assert eval_guarded(sphere_polynomial(L1, 12), 5) == 20
+        assert sphere_polynomial(L1, 12).evaluate(5) == 20
 
     def test_p3_at_2(self):
-        assert eval_guarded(sphere_polynomial(L1, 6), 2) == 0
+        assert sphere_polynomial(L1, 6).evaluate(2) == 0
 
     def test_p2_at_4(self):
-        assert eval_guarded(sphere_polynomial(L1, 4), 4) == 7
+        assert sphere_polynomial(L1, 4).evaluate(4) == 7
 
     def test_small_n_vanishing(self):
         # spheres of radius 2k are empty below n = k for k <= 5, but not for k = 6
         for k in range(1, 6):
             for n in range(1, k):
-                assert eval_guarded(sphere_polynomial(L1, 2 * k), n) == 0
-        assert eval_guarded(sphere_polynomial(L1, 12), 5) > 0
+                assert sphere_polynomial(L1, 2 * k).evaluate(n) == 0
+        assert sphere_polynomial(L1, 12).evaluate(5) > 0
 
 
 class TestToRational:

@@ -43,7 +43,6 @@ class TestMetricId:
     def test_flags(self):
         assert L1.additive and KENDALL.additive
         assert not HAMMING.additive and not LINF.additive and not lp(2).additive
-        assert all(m.split_type_invariant for m in SIX_METRICS)
 
 
 class TestDistanceToIdentity:
