@@ -15,9 +15,8 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Iterator
 
 from .metrics import MetricId, raw_distance_fn
@@ -28,20 +27,7 @@ log = logging.getLogger(__name__)
 DEFAULT_MAX_DEGREE = 12
 # Sweeps above this degree are legal (up to the cap) but get a loud warning.
 _COMFORT_DEGREE = 10
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        log.warning("ignoring non-integer %s=%r", name, raw)
-        return default
-
-
-_max_degree = _env_int("MAX_ENUM_DEGREE", DEFAULT_MAX_DEGREE)
+_max_degree = DEFAULT_MAX_DEGREE
 
 
 class EnumerationCapError(ValueError):
@@ -67,10 +53,8 @@ def check_cap(n: int) -> None:
 
 # -- histograms (cached) --------------------------------------------------
 
-_group_hist_cache: dict[tuple[MetricId, int], dict[int, int]] = {}
-_conn_hist_cache: dict[tuple[MetricId, int], dict[int, int]] = {}
 
-
+@cache
 def _sweep_group(metric: MetricId, n: int) -> dict[int, int]:
     dist = raw_distance_fn(metric)
     hist: dict[int, int] = {}
@@ -85,10 +69,7 @@ def group_histogram(metric: MetricId, n: int) -> dict[int, int]:
     if n < 1:
         raise ValueError("n must be positive")
     check_cap(n)
-    key = (metric, n)
-    if key not in _group_hist_cache:
-        _group_hist_cache[key] = _sweep_group(metric, n)
-    return _group_hist_cache[key]
+    return _sweep_group(metric, n)
 
 
 def _l1_connected(m: int) -> dict[int, int]:
@@ -117,7 +98,7 @@ def _l1_connected(m: int) -> dict[int, int]:
     return {d: count for (_, d), count in states.items()}
 
 
-@lru_cache(maxsize=None)
+@cache
 def _q_factorial(n: int) -> tuple[int, ...]:
     """Coefficients of [n]_q! = prod_{i<=n} (1 + q + ... + q^(i-1)): the
     inversion counts of S_n."""
@@ -144,6 +125,7 @@ def _kendall_connected(metric: MetricId, m: int) -> dict[int, int]:
     return {d: c for d, c in enumerate(total) if c}
 
 
+@cache
 def connected_histogram(metric: MetricId, m: int) -> dict[int, int]:
     """Distance histogram of the connected permutations of S_m, for an
     additive metric, computed without enumerating S_m.
@@ -153,15 +135,11 @@ def connected_histogram(metric: MetricId, m: int) -> dict[int, int]:
     """
     if m < 2:
         return {}
-    key = (metric, m)
-    if key not in _conn_hist_cache:
-        if metric.kind == "l1":
-            _conn_hist_cache[key] = _l1_connected(m)
-        elif metric.kind == "kendall":
-            _conn_hist_cache[key] = _kendall_connected(metric, m)
-        else:
-            raise ValueError(f"no connected-part count for the non-additive metric {metric.name}")
-    return _conn_hist_cache[key]
+    if metric.kind == "l1":
+        return _l1_connected(m)
+    if metric.kind == "kendall":
+        return _kendall_connected(metric, m)
+    raise ValueError(f"no connected-part count for the non-additive metric {metric.name}")
 
 
 # -- oracle ---------------------------------------------------------------
@@ -181,7 +159,7 @@ def oracle_ball(metric: MetricId, n: int, radius: int) -> int:
     return sum(c for d, c in group_histogram(metric, n).items() if d <= radius)
 
 
-# -- the beta/alpha tables ------------------------------------------------
+# -- the beta tables ------------------------------------------------------
 
 
 def radius_step(metric: MetricId) -> int:
@@ -217,47 +195,37 @@ class BetaTable:
             )
         self.metric = metric
         self.step = radius_step(metric)
-        self._memo: dict[tuple[int, int, int], int] = {}
 
     def beta(self, radius: int, m: int, q: int) -> int:
-        step = self.step
-        if q < 1 or m < 2 * q or radius % step or radius < step * (m - q):
+        # Cells outside the support and single parts are answered here, so
+        # only q >= 2 cells inside the support reach the memo.
+        if q < 1 or m < 2 * q or radius % self.step or radius < self.step * (m - q):
             return 0
         if q == 1:
             return connected_beta(self.metric, radius, m)
-        key = (radius, m, q)
-        if key not in self._memo:
-            total = 0
-            for m1 in range(2, m - 2 * (q - 1) + 1):
-                hist = connected_histogram(self.metric, m1)
-                # the other q - 1 parts need at least step * (m - m1 - q + 1)
-                for r1 in range(step * (m1 - 1), radius - step * (m - m1 - q + 1) + 1, step):
-                    count = hist.get(r1)
-                    if count:
-                        total += count * self.beta(radius - r1, m - m1, q - 1)
-            self._memo[key] = total
-        return self._memo[key]
+        return self._convolve(radius, m, q)
 
-    def alpha(self, radius: int, m: int, q: int) -> int:
-        """Split types with distance at most ``radius``: beta summed over attainable radii."""
-        return sum(self.beta(r, m, q) for r in attainable_radii(self.metric, radius))
+    @cache
+    def _convolve(self, radius: int, m: int, q: int) -> int:
+        step = self.step
+        total = 0
+        for m1 in range(2, m - 2 * (q - 1) + 1):
+            hist = connected_histogram(self.metric, m1)
+            # the other q - 1 parts need at least step * (m - m1 - q + 1)
+            for r1 in range(step * (m1 - 1), radius - step * (m - m1 - q + 1) + 1, step):
+                count = hist.get(r1)
+                if count:
+                    total += count * self.beta(radius - r1, m - m1, q - 1)
+        return total
 
 
-_tables: dict[MetricId, BetaTable] = {}
-
-
+@cache
 def beta_table(metric: MetricId) -> BetaTable:
-    if metric not in _tables:
-        _tables[metric] = BetaTable(metric)
-    return _tables[metric]
+    return BetaTable(metric)
 
 
 def beta(metric: MetricId, radius: int, m: int, q: int) -> int:
     return beta_table(metric).beta(radius, m, q)
-
-
-def alpha(metric: MetricId, radius: int, m: int, q: int) -> int:
-    return beta_table(metric).alpha(radius, m, q)
 
 
 # -- the polynomial-growth pipeline ---------------------------------------
@@ -275,49 +243,46 @@ def size_bound(metric: MetricId, radius: int) -> int:
     raise ValueError(f"no split-type size bound available for {metric.name}")
 
 
-def split_cells(metric: MetricId, radius: int) -> Iterator[tuple[int, int]]:
+def split_cells(
+    metric: MetricId, radius: int, top: int | None = None
+) -> Iterator[tuple[int, int]]:
     """The (m, q) cells a split type at this radius can occupy: q parts of
-    total degree m, with 2q <= m and m - q <= N(R)."""
+    total degree m, with 2q <= m and m - q <= N(R); with ``top``, only the
+    cells with m <= top."""
     bound = size_bound(metric, radius)
     for q in range(1, bound + 1):
-        for m in range(2 * q, q + bound + 1):
+        last = q + bound if top is None else min(q + bound, top)
+        for m in range(2 * q, last + 1):
             yield m, q
 
 
 Terms = tuple[tuple[int, int, int], ...]  # (coefficient, m, q)
-_sphere_terms: dict[tuple[MetricId, int], Terms] = {}
-_ball_terms: dict[tuple[MetricId, int], Terms] = {}
 
 
-def sphere_terms(metric: MetricId, radius: int) -> Terms:
-    """The nonzero terms (beta(R, m, q), m, q) of the radius-R sphere, by cell."""
+@cache
+def sphere_terms(metric: MetricId, radius: int, top: int | None = None) -> Terms:
+    """The nonzero terms (beta(R, m, q), m, q) of the radius-R sphere, by
+    cell; with ``top``, only the cells with m <= top."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    key = (metric, radius)
-    if key not in _sphere_terms:
-        if radius == 0:
-            terms: Terms = ((1, 0, 0),)
-        else:
-            table = beta_table(metric)
-            terms = tuple(
-                (b, m, q) for m, q in split_cells(metric, radius) if (b := table.beta(radius, m, q))
-            )
-        _sphere_terms[key] = terms
-    return _sphere_terms[key]
+    if radius == 0:
+        return ((1, 0, 0),)
+    table = beta_table(metric)
+    return tuple(
+        (b, m, q) for m, q in split_cells(metric, radius, top) if (b := table.beta(radius, m, q))
+    )
 
 
-def ball_terms(metric: MetricId, radius: int) -> Terms:
+@cache
+def ball_terms(metric: MetricId, radius: int, top: int | None = None) -> Terms:
     """The terms of the radius-R ball: the sphere terms summed over radii <= R."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    key = (metric, radius)
-    if key not in _ball_terms:
-        acc: dict[tuple[int, int], int] = {}
-        for r in (0, *attainable_radii(metric, radius)):
-            for c, m, q in sphere_terms(metric, r):
-                acc[(m, q)] = acc.get((m, q), 0) + c
-        _ball_terms[key] = tuple((c, m, q) for (m, q), c in acc.items())
-    return _ball_terms[key]
+    acc: dict[tuple[int, int], int] = {}
+    for r in (0, *attainable_radii(metric, radius)):
+        for c, m, q in sphere_terms(metric, r, top):
+            acc[(m, q)] = acc.get((m, q), 0) + c
+    return tuple((c, m, q) for (m, q), c in acc.items())
 
 
 def evaluate_terms(terms: Terms, n: int) -> int:
@@ -325,18 +290,23 @@ def evaluate_terms(terms: Terms, n: int) -> int:
     return sum(c * guarded_binom(n + q - m, q) for c, m, q in terms)
 
 
+# A cell with m > n weighs [n+q-m choose q] = 0, so a query at degree n
+# builds only the cells with m <= n. Every cell has m <= 2 N(R) <= 2R, so
+# min(n, 2R) keeps the memo keys bounded as n grows.
+
+
 def pipeline_sphere(metric: MetricId, n: int, radius: int) -> int:
     """Sphere cardinality via the split-type sum, exact for every n >= 1."""
     if n < 1:
         raise ValueError("n must be positive")
-    return evaluate_terms(sphere_terms(metric, radius), n)
+    return evaluate_terms(sphere_terms(metric, radius, min(n, 2 * radius)), n)
 
 
 def pipeline_ball(metric: MetricId, n: int, radius: int) -> int:
     """Ball cardinality via the split-type sum, exact for every n >= 1."""
     if n < 1:
         raise ValueError("n must be positive")
-    return evaluate_terms(ball_terms(metric, radius), n)
+    return evaluate_terms(ball_terms(metric, radius, min(n, 2 * radius)), n)
 
 
 # -- reports --------------------------------------------------------------

@@ -10,31 +10,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 from .enumeration import ball_terms, evaluate_terms, sphere_terms
 from .metrics import L1, MetricId
 from .perm import guarded_binom
 
 
-class _NotCovered:
-    """Sentinel: the requested parameters fall outside every closed-form family."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NOT_COVERED"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-NOT_COVERED = _NotCovered()
+# closed_form_beta's answer for parameters outside every closed-form family.
+NOT_COVERED = None
 
 
 @dataclass(frozen=True)
@@ -73,17 +57,6 @@ class BinomialPoly:
     def evaluate(self, n: int) -> int:
         """Guarded evaluation: exact for every n >= 1."""
         return evaluate_terms(self.terms, n)
-
-    def evaluate_unguarded(self, n: int) -> int:
-        """Plain binomial evaluation; only valid in the polynomial range."""
-        total = 0
-        for c, m, q in self.terms:
-            i = n + q - m
-            prod = 1
-            for t in range(q):
-                prod *= i - t
-            total += c * prod // math.factorial(q)
-        return total
 
     def __str__(self) -> str:
         if not self.terms:
@@ -331,7 +304,7 @@ def series_coefficients(k: int, count: int) -> list[int]:
 # -- Hamming spheres ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cache
 def derangements(j: int) -> int:
     """D_j via the exact recurrence D_j = (j-1)(D_{j-1} + D_{j-2})."""
     if j < 0:

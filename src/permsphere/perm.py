@@ -183,10 +183,7 @@ class SplitDecomposition:
     cut_positions: tuple[int, ...]
 
     def reassemble(self) -> Permutation:
-        out = Permutation.identity(0)
-        for p in self.parts:
-            out = out + p
-        return out
+        return concatenate(*self.parts)
 
 
 @dataclass(frozen=True)
@@ -217,10 +214,7 @@ class SplitType:
 
     @property
     def permutation(self) -> Permutation:
-        out = Permutation.identity(0)
-        for p in self.parts:
-            out = out + p
-        return out
+        return concatenate(*self.parts)
 
     def __str__(self) -> str:
         return " + ".join(str(p) for p in self.parts) if self.parts else "(empty)"

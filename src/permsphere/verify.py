@@ -145,6 +145,20 @@ class VerifyReport:
         }
 
 
+def _mismatch_check(
+    name: str, formula: str, source: str, bad: list[str], **values: str
+) -> Check:
+    """A check that fails exactly when ``bad`` lists a mismatch; the
+    mismatches follow the given ``values``."""
+    return Check(
+        name=name,
+        formula=formula,
+        source=source,
+        values={**values, "mismatches": "; ".join(bad) or "none"},
+        verdict=MISMATCH if bad else MATCH,
+    )
+
+
 def printed_polynomial(k: int) -> BinomialPoly:
     return BinomialPoly(PRINTED_SPHERE_POLYS[k], "l1", 2 * k)
 
@@ -157,12 +171,12 @@ def _oracle_vs_pipeline(report: VerifyReport, metric, n: int, radii) -> None:
         if ps != os_ or pb != ob:
             bad.append(f"R={r}: sphere {ps}/{os_}, ball {pb}/{ob}")
     report.add(
-        Check(
-            name=f"{metric.name}-oracle-equivalence-n{n}",
-            formula="sphere and ball counts: split-type sum vs exhaustive count",
-            source="oracle",
-            values={"radii": str(len(list(radii))), "mismatches": "; ".join(bad) or "none"},
-            verdict=MATCH if not bad else MISMATCH,
+        _mismatch_check(
+            f"{metric.name}-oracle-equivalence-n{n}",
+            "sphere and ball counts: split-type sum vs exhaustive count",
+            "oracle",
+            bad,
+            radii=str(len(list(radii))),
         )
     )
 
@@ -202,12 +216,11 @@ def run_verify(max_n: int = 6, max_k: int = 6, include_printed_p6: bool = False)
             if computed.coefficient(m, q) != printed.coefficient(m, q):
                 bad.append(f"(m={m},q={q}): {computed.coefficient(m, q)} vs {printed.coefficient(m, q)}")
         report.add(
-            Check(
-                name="printed-polynomial-k6-undisputed",
-                formula="radius-12 sphere polynomial, all terms except (m=7, q=2)",
-                source="printed value",
-                values={"mismatches": "; ".join(bad) or "none"},
-                verdict=MATCH if not bad else MISMATCH,
+            _mismatch_check(
+                "printed-polynomial-k6-undisputed",
+                "radius-12 sphere polynomial, all terms except (m=7, q=2)",
+                "printed value",
+                bad,
             )
         )
         if include_printed_p6:
@@ -257,12 +270,12 @@ def run_verify(max_n: int = 6, max_k: int = 6, include_printed_p6: bool = False)
                 disputed.append(f"(k={k},m={m},q={q}): published {published}, table {conv}")
                 undercounts = undercounts or published != conv
     report.add(
-        Check(
-            name="closed-forms-vs-convolution",
-            formula="the four closed-form beta families, max-radius counts, and support bounds",
-            source="closed form",
-            values={"cells": str(checked), "mismatches": "; ".join(bad) or "none"},
-            verdict=MATCH if not bad else MISMATCH,
+        _mismatch_check(
+            "closed-forms-vs-convolution",
+            "the four closed-form beta families, max-radius counts, and support bounds",
+            "closed form",
+            bad,
+            cells=str(checked),
         )
     )
     if disputed:
@@ -286,12 +299,11 @@ def run_verify(max_n: int = 6, max_k: int = 6, include_printed_p6: bool = False)
             if coeffs[n] != rk.evaluate(n):
                 bad.append(f"(k={k},n={n})")
     report.add(
-        Check(
-            name="series-vs-slice-polynomial",
-            formula="Taylor coefficients of X^(k+1)(2X-3)^(k-1)/(X-1)^(k+1)",
-            source="convolution",
-            values={"mismatches": "; ".join(bad) or "none"},
-            verdict=MATCH if not bad else MISMATCH,
+        _mismatch_check(
+            "series-vs-slice-polynomial",
+            "Taylor coefficients of X^(k+1)(2X-3)^(k-1)/(X-1)^(k+1)",
+            "convolution",
+            bad,
         )
     )
 
@@ -301,12 +313,11 @@ def run_verify(max_n: int = 6, max_k: int = 6, include_printed_p6: bool = False)
         if q_polynomial(k).terms != sphere_polynomial(L1, 2 * k).terms:
             bad.append(f"k={k}")
     report.add(
-        Check(
-            name="truncated-polynomial-identity",
-            formula="high-cell truncation equals the full sphere polynomial (k <= 9)",
-            source="convolution",
-            values={"mismatches": "; ".join(bad) or "none"},
-            verdict=MATCH if not bad else MISMATCH,
+        _mismatch_check(
+            "truncated-polynomial-identity",
+            "high-cell truncation equals the full sphere polynomial (k <= 9)",
+            "convolution",
+            bad,
         )
     )
     depths = {}
@@ -338,12 +349,11 @@ def run_verify(max_n: int = 6, max_k: int = 6, include_printed_p6: bool = False)
             if hamming_sphere(n, j) != oracle_sphere(HAMMING, n, j):
                 bad.append(f"(n={n},j={j})")
     report.add(
-        Check(
-            name="hamming-sphere-formula",
-            formula="derangement count times [n choose j] vs exhaustive count",
-            source="oracle",
-            values={"mismatches": "; ".join(bad) or "none"},
-            verdict=MATCH if not bad else MISMATCH,
+        _mismatch_check(
+            "hamming-sphere-formula",
+            "derangement count times [n choose j] vs exhaustive count",
+            "oracle",
+            bad,
         )
     )
 
@@ -359,12 +369,8 @@ def run_verify(max_n: int = 6, max_k: int = 6, include_printed_p6: bool = False)
         if m in MAX_L1_SPHERE and oracle_sphere(L1, m, expected) != MAX_L1_SPHERE[m]:
             bad.append(f"m={m}: maximizers {oracle_sphere(L1, m, expected)} vs {MAX_L1_SPHERE[m]}")
     report.add(
-        Check(
-            name="max-l1-distances",
-            formula="maximal l1 distance table and maximizer counts",
-            source="oracle",
-            values={"mismatches": "; ".join(bad) or "none"},
-            verdict=MATCH if not bad else MISMATCH,
+        _mismatch_check(
+            "max-l1-distances", "maximal l1 distance table and maximizer counts", "oracle", bad
         )
     )
 

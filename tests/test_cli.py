@@ -164,7 +164,6 @@ class TestVerify:
     def test_over_cap_fails_before_sweeping(self, capsys, monkeypatch):
         swept = []
         monkeypatch.setattr(enumeration, "_max_degree", 12)
-        monkeypatch.setattr(enumeration, "_group_hist_cache", {})
         monkeypatch.setattr(enumeration, "_sweep_group", lambda metric, n: swept.append(n) or {})
         code = main(["verify", "--max-n", "13"])
         captured = capsys.readouterr()

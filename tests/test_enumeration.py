@@ -8,7 +8,7 @@ from permsphere import (
     L1,
     BetaTable,
     Permutation,
-    alpha,
+    ball_polynomial,
     beta,
     connected_beta,
     count_report,
@@ -86,7 +86,7 @@ class TestConnectedBase:
         from permsphere import enumeration
 
         monkeypatch.setattr(enumeration, "_max_degree", 4)
-        monkeypatch.setattr(enumeration, "_conn_hist_cache", {})
+        connected_histogram.cache_clear()
         assert sum(connected_histogram(L1, 14).values()) == A003319[12]
 
 
@@ -144,19 +144,22 @@ class TestBeta:
 
 
 class TestAlpha:
+    """alpha(R, m, q), the split types of distance at most R: the ball
+    polynomial's coefficients."""
+
     def test_small_values(self):
-        assert alpha(L1, 2, 2, 1) == 1
-        assert alpha(L1, 4, 2, 1) == 1
+        assert ball_polynomial(L1, 2).coefficient(2, 1) == 1
+        assert ball_polynomial(L1, 4).coefficient(2, 1) == 1
 
     def test_connected_s4_cross_check(self):
         direct = sum(1 for w in words(4) if word_is_connected(w) and word_l1(w) <= 8)
-        assert alpha(L1, 8, 4, 1) == direct
+        assert ball_polynomial(L1, 8).coefficient(4, 1) == direct
 
     def test_alpha_sums_beta(self):
         for m in range(2, 7):
             for q in range(1, m // 2 + 1):
                 for r in attainable_radii(L1, 18):
-                    assert alpha(L1, r, m, q) == sum(
+                    assert ball_polynomial(L1, r).coefficient(m, q) == sum(
                         beta(L1, s, m, q) for s in attainable_radii(L1, r)
                     )
 
@@ -206,17 +209,34 @@ class TestPipeline:
         for n in range(2, 7):
             for radius in (4, 8, 12):
                 bound = size_bound(L1, radius)
+                alpha = ball_polynomial(L1, radius).coefficient
                 total = 1
                 for q in range(1, bound + 1):
                     for m in range(2 * q, q + bound + 1):
                         if m - q > n:
                             break
-                        total += alpha(L1, radius, m, q) * guarded_binom(n + q - m, q)
+                        total += alpha(m, q) * guarded_binom(n + q - m, q)
                 assert total == pipeline_ball(L1, n, radius)
 
     def test_non_additive_refused(self):
         with pytest.raises(ValueError):
             pipeline_sphere(HAMMING, 5, 2)
+
+    def test_query_builds_no_base_above_n(self, monkeypatch):
+        from permsphere import enumeration
+        from permsphere.enumeration import ball_terms, sphere_terms
+
+        for memo in (sphere_terms, ball_terms, BetaTable._convolve):
+            memo.cache_clear()
+        degrees = []
+        monkeypatch.setattr(
+            enumeration,
+            "connected_histogram",
+            lambda metric, m: degrees.append(m) or connected_histogram(metric, m),
+        )
+        assert pipeline_ball(KENDALL, 3, 12) == 6
+        assert pipeline_sphere(L1, 3, 20) == 0
+        assert degrees and max(degrees) <= 3
 
     def test_ball_of_maximal_radius_is_the_group(self):
         for n in range(1, 12):
