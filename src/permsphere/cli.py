@@ -5,6 +5,7 @@ import argparse
 import csv
 import io
 import json
+import logging
 import sys
 
 from . import enumeration, growth, verify as verify_mod
@@ -141,7 +142,7 @@ def cmd_verify(args) -> int:
         report = verify_mod.run_verify(
             max_n=args.max_n, max_k=args.max_k, include_printed_p6=args.include_printed_p6
         )
-    except enumeration.EnumerationCapError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
@@ -172,6 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-enum-degree", type=int, default=None,
         help="largest symmetric group the oracle enumerates",
+    )
+    parser.add_argument(
+        "--log-level", choices=("debug", "info", "warning", "error"), default="warning",
+        help="least severe log message written to stderr",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -223,6 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # bare messages, as Python prints a warning when logging is not configured
+    logging.basicConfig(level=args.log_level.upper(), format="%(message)s")
     if args.max_enum_degree is not None:
         try:
             enumeration.set_max_degree(args.max_enum_degree)

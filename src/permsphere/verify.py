@@ -182,6 +182,10 @@ def _oracle_vs_pipeline(report: VerifyReport, metric, n: int, radii) -> None:
 
 
 def run_verify(max_n: int = 6, max_k: int = 6, include_printed_p6: bool = False) -> VerifyReport:
+    if max_n < 2:
+        raise ValueError(f"max_n must be at least 2, got {max_n}")
+    if max_k < 1:
+        raise ValueError(f"max_k must be at least 1, got {max_k}")
     check_cap(max_n)
     report = VerifyReport()
 

@@ -7,6 +7,7 @@ so the tests never validate the library against itself.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from typing import Iterable, Iterator
 
@@ -31,6 +32,33 @@ def word_inversions(w: tuple[int, ...]) -> int:
     return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
 
 
+def word_lp(p: int):
+    """The p-th power of the lp distance to the identity."""
+    return lambda w: sum(abs(v - i) ** p for i, v in enumerate(w, 1))
+
+
+def word_linf(w: tuple[int, ...]) -> int:
+    return max(abs(v - i) for i, v in enumerate(w, 1))
+
+
+def word_hamming(w: tuple[int, ...]) -> int:
+    return sum(1 for i, v in enumerate(w, 1) if v != i)
+
+
+def word_cayley(w: tuple[int, ...]) -> int:
+    """Fewest transpositions: moved points minus nontrivial cycles."""
+    return word_hamming(w) - word_cycles(w)
+
+
+def word_histogram(dist, n: int) -> dict[int, int]:
+    """Distance histogram of all of S_n, by a full sweep."""
+    hist: dict[int, int] = {}
+    for w in words(n):
+        d = dist(w)
+        hist[d] = hist.get(d, 0) + 1
+    return hist
+
+
 def brute_connected_histogram(dist, m: int) -> dict[int, int]:
     """Distance histogram of the connected words of S_m, by a full sweep."""
     hist: dict[int, int] = {}
@@ -51,6 +79,25 @@ def mahonian(n: int) -> list[int]:
             for k in range(len(row) + size - 1)
         ]
     return row
+
+
+def stirling_cycles(n: int) -> list[int]:
+    """Unsigned Stirling numbers of the first kind: c(n, k) permutations of
+    S_n have k cycles, since c(n, k) = (n-1) c(n-1, k) + c(n-1, k-1)."""
+    row = [1]
+    for size in range(1, n + 1):
+        row = [(size - 1) * (row[k] if k < len(row) else 0) + (row[k - 1] if k else 0)
+               for k in range(size + 1)]
+    return row
+
+
+def rencontres(n: int) -> list[int]:
+    """Permutations of S_n with exactly k moved points: C(n, k) D_k, with
+    the derangement numbers D_k = (k-1)(D_{k-1} + D_{k-2})."""
+    derangements = [1, 0]
+    for k in range(2, n + 1):
+        derangements.append((k - 1) * (derangements[-1] + derangements[-2]))
+    return [math.comb(n, k) * derangements[k] for k in range(n + 1)]
 
 
 def word_cycles(w: tuple[int, ...]) -> int:

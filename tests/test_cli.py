@@ -170,6 +170,16 @@ class TestVerify:
         assert code == 1 and captured.out == "" and swept == []
         assert captured.err == "error: enumerating S_13 exceeds the configured cap of 12\n"
 
+    @pytest.mark.parametrize("max_n, max_k, message", [
+        ("0", "-1", "max_n must be at least 2, got 0"),
+        ("1", "3", "max_n must be at least 2, got 1"),
+        ("4", "0", "max_k must be at least 1, got 0"),
+    ])
+    def test_empty_matrix_is_an_error(self, capsys, max_n, max_k, message):
+        code = main(["verify", "--max-n", max_n, "--max-k", max_k])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and captured.err == f"error: {message}\n"
+
     def test_lowered_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(enumeration, "_max_degree", enumeration._max_degree)
         code = main(["--max-enum-degree", "4", "verify", "--max-n", "5"])
@@ -183,6 +193,16 @@ class TestOptions:
         code = main(["--max-enum-degree", "0", "dist", "--metric", "l1", "--perm", "2 1"])
         captured = capsys.readouterr()
         assert code == 1 and captured.err == "error: --max-enum-degree: cap must be positive\n"
+
+    def test_debug_log_times_the_oracle_sweep(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "permsphere", "--log-level", "debug",
+             "sphere", "--metric", "l1", "--n", "5", "--radius", "12", "--method", "oracle"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stdout == "oracle: 20\n"
+        assert "oracle sweep of S_5 under l1: 120 permutations in " in proc.stderr
 
     def test_python_m_permsphere(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -23,15 +23,22 @@ from permsphere.enumeration import (
     connected_histogram,
     group_histogram,
 )
-from permsphere.metrics import max_l1
+from permsphere.metrics import MetricId, max_l1
 
 from helpers import (
     brute_connected_histogram,
     direct_split_type_counts,
     mahonian,
+    rencontres,
+    stirling_cycles,
+    word_cayley,
+    word_hamming,
+    word_histogram,
     word_inversions,
     word_is_connected,
     word_l1,
+    word_linf,
+    word_lp,
     words,
 )
 
@@ -61,6 +68,37 @@ class TestOracle:
     def test_cap(self):
         with pytest.raises(EnumerationCapError, match="cap"):
             group_histogram(L1, 13)
+
+    # n = 1 and 2 end the walk at a leaf; n >= 3 end it in the inline last
+    # three positions. lp:40 distances are too large for a list histogram.
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("name, dist", [
+        ("l1", word_l1), ("lp:2", word_lp(2)), ("lp:3", word_lp(3)), ("lp:40", word_lp(40)),
+        ("linf", word_linf), ("hamming", word_hamming), ("cayley", word_cayley),
+        ("kendall", word_inversions),
+    ])
+    def test_sweep_equals_whole_word_count(self, name, dist, n):
+        assert group_histogram(MetricId.parse(name), n) == word_histogram(dist, n)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_kendall_is_mahonian(self, n):
+        assert group_histogram(KENDALL, n) == dict(enumerate(mahonian(n)))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_cayley_is_stirling_first_kind(self, n):
+        # distance n - k for the permutations with k cycles
+        cycles = stirling_cycles(n)
+        assert group_histogram(MetricId("cayley"), n) == {n - k: cycles[k] for k in range(1, n + 1)}
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_hamming_is_rencontres(self, n):
+        expected = {k: c for k, c in enumerate(rencontres(n)) if c}
+        assert group_histogram(HAMMING, n) == expected
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("name", ["l1", "lp:2", "lp:3", "linf", "hamming", "cayley", "kendall"])
+    def test_total_is_group_order(self, name, n):
+        assert sum(group_histogram(MetricId.parse(name), n).values()) == math.factorial(n)
 
 
 class TestConnectedBase:
