@@ -163,25 +163,36 @@ def cmd_verify(args) -> int:
     return report.exit_code
 
 
+# Options accepted before and after the subcommand. The main parser holds
+# the defaults; each subparser takes them from ``after``, which suppresses
+# them, so a value given after the subcommand overrides one given before it
+# and an absent one keeps it.
+_SHARED_OPTIONS = (
+    ("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
+    ("--max-enum-degree", {
+        "type": int, "default": None, "help": "largest symmetric group the oracle enumerates",
+    }),
+    ("--log-level", {
+        "choices": ("debug", "info", "warning", "error"), "default": "warning",
+        "help": "least severe log message written to stderr",
+    }),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permsphere",
         description="Exact sphere and ball cardinalities in symmetric groups "
         "under right-invariant metrics.",
     )
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument(
-        "--max-enum-degree", type=int, default=None,
-        help="largest symmetric group the oracle enumerates",
-    )
-    parser.add_argument(
-        "--log-level", choices=("debug", "info", "warning", "error"), default="warning",
-        help="least severe log message written to stderr",
-    )
+    after = argparse.ArgumentParser(add_help=False)
+    for flag, spec in _SHARED_OPTIONS:
+        parser.add_argument(flag, **spec)
+        after.add_argument(flag, **{**spec, "default": argparse.SUPPRESS})
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dist", help="distance between permutations (native integer scale; "
-                       "for lp:<p> this is the p-th power)")
+    p = sub.add_parser("dist", parents=[after], help="distance between permutations "
+                       "(native integer scale; for lp:<p> this is the p-th power)")
     p.add_argument("--metric", required=True)
     p.add_argument("--perm", required=True)
     p.add_argument("--perm2")
@@ -191,14 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
         ("sphere", cmd_sphere, "count permutations at exact distance"),
         ("ball", cmd_ball, "count permutations within distance"),
     ):
-        p = sub.add_parser(name, help=about)
+        p = sub.add_parser(name, parents=[after], help=about)
         p.add_argument("--metric", required=True)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--radius", type=int, required=True)
         p.add_argument("--method", choices=("pipeline", "oracle", "both"), default="pipeline")
         p.set_defaults(fn=fn)
 
-    p = sub.add_parser("beta", help="split-type counts beta(R, m, q)")
+    p = sub.add_parser("beta", parents=[after], help="split-type counts beta(R, m, q)")
     p.add_argument("--metric", required=True)
     p.add_argument("--k", type=int, help="half-radius for l1 (radius = 2k)")
     p.add_argument("--radius", type=int)
@@ -206,23 +217,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int)
     p.set_defaults(fn=cmd_beta)
 
-    p = sub.add_parser("poly", help="sphere counting polynomial")
+    p = sub.add_parser("poly", parents=[after], help="sphere counting polynomial")
     p.add_argument("--metric", required=True)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--basis", choices=("binomial", "monomial"), default="binomial")
     p.add_argument("--eval", type=int)
     p.set_defaults(fn=cmd_poly)
 
-    p = sub.add_parser("verify", help="run the cross-validation matrix")
+    p = sub.add_parser("verify", parents=[after], help="run the cross-validation matrix")
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--max-k", type=int, default=6)
     p.add_argument("--include-printed-p6", action="store_true")
     p.set_defaults(fn=cmd_verify)
-
-    # --format is also accepted after the subcommand, where it overrides the global one
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=("text", "json", "csv"), default=argparse.SUPPRESS)
-
     return parser
 
 

@@ -19,9 +19,9 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .metrics import MetricId
+from .metrics import KENDALL, MetricId
 from .perm import guarded_binom
 
 log = logging.getLogger(__name__)
@@ -49,8 +49,6 @@ def check_cap(n: int) -> None:
         raise EnumerationCapError(
             f"enumerating S_{n} exceeds the configured cap of {_max_degree}"
         )
-    if n > _COMFORT_DEGREE:
-        log.warning("enumerating S_%d (%d permutations); this may take a while", n, math.factorial(n))
 
 
 # -- the oracle's sweep (cached) ------------------------------------------
@@ -224,10 +222,12 @@ _WALKS = {
 
 @cache
 def _sweep_group(metric: MetricId, n: int) -> dict[int, int]:
+    perms = math.factorial(n)
+    if n > _COMFORT_DEGREE:
+        log.warning("enumerating S_%d (%d permutations); this may take a while", n, perms)
     began = time.perf_counter()
     hist = _WALKS[metric.kind](metric, n)
     seconds = time.perf_counter() - began
-    perms = math.factorial(n)
     log.debug(
         "oracle sweep of S_%d under %s: %d permutations in %.3f s (%.0f per second)",
         n, metric.name, perms, seconds, perms / max(seconds, 1e-9),
@@ -282,13 +282,13 @@ def _q_factorial(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _kendall_connected(metric: MetricId, m: int) -> dict[int, int]:
+def _kendall_connected(m: int) -> dict[int, int]:
     """Inversions over the connected permutations of S_m, by Comtet's
     inversion of [m]_q! = sum_j C_j(q) [m-j]_q!: a permutation is its first
     connected part, of degree j, followed by any permutation of the rest."""
     total = list(_q_factorial(m))
     for j in range(1, m):
-        first = connected_histogram(metric, j) if j > 1 else {0: 1}
+        first = connected_histogram(KENDALL, j) if j > 1 else {0: 1}
         rest = _q_factorial(m - j)
         for d1, c1 in first.items():
             for d2, c2 in enumerate(rest):
@@ -296,21 +296,30 @@ def _kendall_connected(metric: MetricId, m: int) -> dict[int, int]:
     return {d: c for d, c in enumerate(total) if c}
 
 
+# The split-type pipeline's metrics: each adds over concatenation, and a
+# connected part of degree m lies at distance at least step * (m - 1), which
+# bounds the parts of a split type inside a ball. Per kind: the step, which is
+# also the gap between attainable radii, and the connected base.
+_PIPELINES = {"l1": (2, _l1_connected), "kendall": (1, _kendall_connected)}
+
+
+def _pipeline(metric: MetricId) -> tuple[int, Callable[[int], dict[int, int]]]:
+    try:
+        return _PIPELINES[metric.kind]
+    except KeyError:
+        raise ValueError(f"no split-type pipeline for {metric.name}; l1 and kendall only") from None
+
+
 @cache
 def connected_histogram(metric: MetricId, m: int) -> dict[int, int]:
-    """Distance histogram of the connected permutations of S_m, for an
-    additive metric, computed without enumerating S_m.
+    """Distance histogram of the connected permutations of S_m, for a
+    pipeline metric, computed without enumerating S_m.
 
     Degree-1 words never occur as split-type parts, so m < 2 yields an
     empty histogram.
     """
-    if m < 2:
-        return {}
-    if metric.kind == "l1":
-        return _l1_connected(m)
-    if metric.kind == "kendall":
-        return _kendall_connected(metric, m)
-    raise ValueError(f"no connected-part count for the non-additive metric {metric.name}")
+    base = _pipeline(metric)[1]
+    return base(m) if m >= 2 else {}
 
 
 # -- oracle ---------------------------------------------------------------
@@ -334,8 +343,8 @@ def oracle_ball(metric: MetricId, n: int, radius: int) -> int:
 
 
 def radius_step(metric: MetricId) -> int:
-    """Gap between attainable sphere radii: 2 for l1 (parity), 1 otherwise."""
-    return 2 if metric.kind == "l1" else 1
+    """Gap between attainable sphere radii: 2 for l1 (parity), 1 for Kendall."""
+    return _pipeline(metric)[0]
 
 
 def attainable_radii(metric: MetricId, max_radius: int) -> range:
@@ -350,7 +359,7 @@ def connected_beta(metric: MetricId, radius: int, m: int) -> int:
 
 
 class BetaTable:
-    """Memoized split-type counts beta_D(R, m, q) for an additive metric.
+    """Memoized split-type counts beta_D(R, m, q) for a pipeline metric.
 
     q >= 2 cells are assembled from the connected base by folding one part
     at a time over the (radius, size) grid; this is the composition
@@ -360,10 +369,6 @@ class BetaTable:
     """
 
     def __init__(self, metric: MetricId):
-        if not metric.additive:
-            raise ValueError(
-                f"beta tables require an additive metric (l1 or kendall), got {metric.name}"
-            )
         self.metric = metric
         self.step = radius_step(metric)
 
@@ -403,15 +408,9 @@ def beta(metric: MetricId, radius: int, m: int, q: int) -> int:
 
 
 def size_bound(metric: MetricId, radius: int) -> int:
-    """N(R): a bound with m(sigma) - q(sigma) <= N(R) whenever D(sigma) <= R.
-
-    For l1 this is R/2; for Kendall, R itself (via l1(u) <= 2 I(u)).
-    """
-    if metric.kind == "l1":
-        return radius // 2
-    if metric.kind == "kendall":
-        return radius
-    raise ValueError(f"no split-type size bound available for {metric.name}")
+    """N(R): a bound with m(sigma) - q(sigma) <= N(R) whenever D(sigma) <= R,
+    since the q parts of sigma lie at distance at least step * (m - q)."""
+    return radius // radius_step(metric)
 
 
 def split_cells(

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cache
 
 from .enumeration import ball_terms, evaluate_terms, sphere_terms
-from .metrics import L1, MetricId
+from .metrics import L1, MetricId, max_l1
 from .perm import guarded_binom
 
 
@@ -125,9 +125,10 @@ class RationalPoly:
         def mono(i: int) -> str:
             return "1" if i == 0 else ("n" if i == 1 else f"n^{i}")
 
+        coefficients = self.integer_coefficients
         num = []
         for i in range(self.degree, -1, -1):
-            c = self.integer_coefficients[i]
+            c = coefficients[i]
             if c == 0:
                 continue
             sign = "-" if c < 0 else ("+" if num else "")
@@ -210,13 +211,13 @@ def closed_form_beta(k: int, m: int, q: int):
     if m - q > k:
         return 0
     # Spheres of maximal radius in S_m, and emptiness beyond the maximum.
-    r, odd = divmod(m, 2)
-    k_max = r * r + (r if odd else 0)
+    k_max = max_l1(m) // 2
     if k > k_max:
         return 0
-    if k == k_max and m >= 2:
+    if k == k_max:
         if q != 1:
             return 0
+        r, odd = divmod(m, 2)
         count = math.factorial(r) ** 2
         return (2 * r + 1) * count if odd else count
     if m == k + q:

@@ -7,16 +7,12 @@ which makes every distance well defined on the infinite symmetric group.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .perm import Permutation
 
 _KINDS = ("l1", "lp", "linf", "hamming", "cayley", "kendall")
-
-# Metrics whose distance splits over concatenation: D(u+v) = D(u) + D(v).
-_ADDITIVE_KINDS = ("l1", "kendall")
 
 
 @dataclass(frozen=True)
@@ -34,10 +30,6 @@ class MetricId:
                 raise ValueError("lp metric requires an integer exponent p >= 1")
         elif self.p is not None:
             raise ValueError(f"metric {self.kind!r} takes no exponent")
-
-    @property
-    def additive(self) -> bool:
-        return self.kind in _ADDITIVE_KINDS
 
     @property
     def name(self) -> str:
@@ -78,25 +70,6 @@ def lp(p: int) -> MetricId:
 # -- distance to the identity, on raw words -------------------------------
 
 
-def _l1(w: Sequence[int]) -> int:
-    return sum(abs(v - i) for i, v in enumerate(w, 1))
-
-
-def _lp_fn(p: int) -> Callable[[Sequence[int]], int]:
-    def dist(w: Sequence[int]) -> int:
-        return sum(abs(v - i) ** p for i, v in enumerate(w, 1))
-
-    return dist
-
-
-def _linf(w: Sequence[int]) -> int:
-    return max((abs(v - i) for i, v in enumerate(w, 1)), default=0)
-
-
-def _hamming(w: Sequence[int]) -> int:
-    return sum(1 for i, v in enumerate(w, 1) if v != i)
-
-
 def _cayley(w: Sequence[int]) -> int:
     # Minimal number of transpositions: moved points minus nontrivial cycles.
     n = len(w)
@@ -121,49 +94,27 @@ def _kendall(w: Sequence[int]) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
 
 
-def raw_distance_fn(metric: MetricId) -> Callable[[Sequence[int]], int]:
-    """Distance-to-identity on a bare one-line word, in native scale."""
-    if metric.kind == "l1":
-        return _l1
-    if metric.kind == "lp":
-        return _lp_fn(metric.p)
-    if metric.kind == "linf":
-        return _linf
-    if metric.kind == "hamming":
-        return _hamming
-    if metric.kind == "cayley":
-        return _cayley
-    return _kendall
-
-
 def distance_to_identity(metric: MetricId, u: Permutation) -> int:
-    return raw_distance_fn(metric)(u.word)
+    """Distance from u to the identity, in native scale."""
+    w = u.word
+    if metric.kind in ("l1", "lp"):
+        p = metric.p or 1
+        return sum(abs(v - i) ** p for i, v in enumerate(w, 1))
+    if metric.kind == "linf":
+        return max((abs(v - i) for i, v in enumerate(w, 1)), default=0)
+    if metric.kind == "hamming":
+        return sum(1 for i, v in enumerate(w, 1) if v != i)
+    if metric.kind == "cayley":
+        return _cayley(w)
+    return _kendall(w)
 
 
 def distance(metric: MetricId, u: Permutation, v: Permutation) -> int:
     """Distance between two permutations, in native scale.
 
-    For the positionwise metrics (lp, linf, Hamming) this compares values
-    directly; for Cayley and Kendall it translates by right invariance to
-    a distance to the identity.  Both routes agree for every metric.
+    Every metric here is right invariant, D(u w, v w) = D(u, v), so
+    D(u, v) = D(u v^-1, id).
     """
-    if metric.kind in ("cayley", "kendall"):
-        return distance_to_identity(metric, u.compose(v.inverse()))
-    n = max(u.degree, v.degree)
-    uw = tuple(u(i) for i in range(1, n + 1))
-    vw = tuple(v(i) for i in range(1, n + 1))
-    if metric.kind == "l1":
-        return sum(abs(a - b) for a, b in zip(uw, vw))
-    if metric.kind == "lp":
-        p = metric.p
-        return sum(abs(a - b) ** p for a, b in zip(uw, vw))
-    if metric.kind == "linf":
-        return max((abs(a - b) for a, b in zip(uw, vw)), default=0)
-    return sum(1 for a, b in zip(uw, vw) if a != b)
-
-
-def distance_by_translation(metric: MetricId, u: Permutation, v: Permutation) -> int:
-    """D(u, v) computed as D(id, u o v^-1); used to cross-check ``distance``."""
     return distance_to_identity(metric, u.compose(v.inverse()))
 
 
@@ -173,21 +124,3 @@ def max_l1(m: int) -> int:
         raise ValueError("m must be positive")
     r = m // 2
     return 2 * r * r if m % 2 == 0 else 2 * r * r + 2 * r
-
-
-def max_distance(metric: MetricId, m: int, brute_force_cap: int = 10) -> int:
-    """Maximum of the distance to the identity over S_m.
-
-    Closed form for l1; exhaustive search for the other metrics, refused
-    above ``brute_force_cap``.
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    if metric.kind == "l1":
-        return max_l1(m)
-    if m > brute_force_cap:
-        raise ValueError(
-            f"max_distance for {metric.name} uses brute force, capped at degree {brute_force_cap}"
-        )
-    dist = raw_distance_fn(metric)
-    return max(dist(w) for w in itertools.permutations(range(1, m + 1)))

@@ -45,6 +45,20 @@ def word_hamming(w: tuple[int, ...]) -> int:
     return sum(1 for i, v in enumerate(w, 1) if v != i)
 
 
+def word_pair_distance(kind: str, u: tuple[int, ...], v: tuple[int, ...], p: int = 1) -> int:
+    """Positionwise distance between two words, the shorter one padded with
+    fixed points: l1, the p-th power of lp, linf or Hamming."""
+    n = max(len(u), len(v))
+    u = u + tuple(range(len(u) + 1, n + 1))
+    v = v + tuple(range(len(v) + 1, n + 1))
+    gaps = [abs(a - b) for a, b in zip(u, v)]
+    if kind == "linf":
+        return max(gaps, default=0)
+    if kind == "hamming":
+        return sum(1 for g in gaps if g)
+    return sum(g**p for g in gaps)
+
+
 def word_cayley(w: tuple[int, ...]) -> int:
     """Fewest transpositions: moved points minus nontrivial cycles."""
     return word_hamming(w) - word_cycles(w)

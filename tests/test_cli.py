@@ -161,6 +161,12 @@ class TestVerify:
         code, out = run(capsys, "verify", "--max-n", "2", "--max-k", "1")
         assert code == 0
 
+    def test_truncated_identity_checked_where_it_holds(self, capsys):
+        code, out = run(capsys, "verify", "--max-n", "6", "--max-k", "10", "--format", "json")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert code == 0
+        assert checks["truncated-polynomial-identity"]["values"] == {"k": "1..9", "mismatches": "none"}
+
     def test_over_cap_fails_before_sweeping(self, capsys, monkeypatch):
         swept = []
         monkeypatch.setattr(enumeration, "_max_degree", 12)
@@ -193,6 +199,26 @@ class TestOptions:
         code = main(["--max-enum-degree", "0", "dist", "--metric", "l1", "--perm", "2 1"])
         captured = capsys.readouterr()
         assert code == 1 and captured.err == "error: --max-enum-degree: cap must be positive\n"
+
+    def test_max_enum_degree_after_subcommand(self, capsys, monkeypatch):
+        monkeypatch.setattr(enumeration, "_max_degree", enumeration._max_degree)
+        code, out = run(capsys, "sphere", "--metric", "l1", "--n", "5", "--radius", "4",
+                        "--method", "oracle", "--max-enum-degree", "12")
+        assert code == 0 and out == "oracle: 12\n"
+        code = main(["--max-enum-degree", "12", "verify", "--max-n", "5", "--max-enum-degree", "4"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: enumerating S_5 exceeds the configured cap of 4\n"
+
+    def test_log_level_after_subcommand(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "permsphere", "sphere", "--metric", "l1", "--n", "4",
+             "--radius", "8", "--method", "oracle", "--log-level", "debug"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stdout == "oracle: 4\n"
+        assert "oracle sweep of S_4 under l1: 24 permutations in " in proc.stderr
 
     def test_debug_log_times_the_oracle_sweep(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))

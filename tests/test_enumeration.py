@@ -1,3 +1,4 @@
+import logging
 import math
 
 import pytest
@@ -69,6 +70,19 @@ class TestOracle:
         with pytest.raises(EnumerationCapError, match="cap"):
             group_histogram(L1, 13)
 
+    def test_large_sweep_warns_once(self, caplog, monkeypatch):
+        from permsphere import enumeration
+
+        monkeypatch.setattr(enumeration, "_COMFORT_DEGREE", 4)
+        enumeration._sweep_group.cache_clear()
+        with caplog.at_level(logging.WARNING, logger="permsphere.enumeration"):
+            for r in range(0, 13, 2):
+                oracle_sphere(L1, 5, r)
+            oracle_ball(L1, 5, 12)
+        assert [r.getMessage() for r in caplog.records] == [
+            "enumerating S_5 (120 permutations); this may take a while"
+        ]
+
     # n = 1 and 2 end the walk at a leaf; n >= 3 end it in the inline last
     # three positions. lp:40 distances are too large for a list histogram.
     @pytest.mark.parametrize("n", range(1, 8))
@@ -117,7 +131,7 @@ class TestConnectedBase:
         assert connected_histogram(L1, 1) == {} and connected_histogram(KENDALL, 0) == {}
 
     def test_non_additive_refused(self):
-        with pytest.raises(ValueError, match="non-additive"):
+        with pytest.raises(ValueError, match="no split-type pipeline for hamming"):
             connected_histogram(HAMMING, 3)
 
     def test_never_capped(self, monkeypatch):
@@ -161,7 +175,7 @@ class TestBeta:
         assert beta(L1, 12, 7, 2) == 72
 
     def test_non_additive_refused(self):
-        with pytest.raises(ValueError, match="additive"):
+        with pytest.raises(ValueError, match="no split-type pipeline for hamming"):
             BetaTable(HAMMING)
 
     @pytest.mark.parametrize("m", range(2, 8))

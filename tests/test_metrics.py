@@ -15,12 +15,11 @@ from permsphere import (
     distance,
     distance_to_identity,
     lp,
-    max_distance,
     parse,
 )
-from permsphere.metrics import distance_by_translation, max_l1
+from permsphere.metrics import max_l1
 
-from helpers import adjacent_swaps, all_swaps, bfs_word_distance, words
+from helpers import adjacent_swaps, all_swaps, bfs_word_distance, word_pair_distance, words
 
 SIX_METRICS = (L1, lp(2), LINF, HAMMING, CAYLEY, KENDALL)
 
@@ -39,10 +38,6 @@ class TestMetricId:
             MetricId.parse("ulam")
         with pytest.raises(ValueError):
             MetricId.parse("lp:0")
-
-    def test_flags(self):
-        assert L1.additive and KENDALL.additive
-        assert not HAMMING.additive and not LINF.additive and not lp(2).additive
 
 
 class TestDistanceToIdentity:
@@ -94,12 +89,14 @@ class TestPairwiseDistance:
             assert distance_to_identity(CAYLEY, Permutation(w)) == expected
 
     def test_translation_route_agrees(self):
+        # the positionwise metrics, against their two-word definition, across degrees
         rng = random.Random(7)
-        pool = list(words(5))
+        pool = [w for n in (3, 4, 5) for w in words(n)]
         for _ in range(100):
-            u, v = Permutation(rng.choice(pool)), Permutation(rng.choice(pool))
-            for metric in SIX_METRICS:
-                assert distance(metric, u, v) == distance_by_translation(metric, u, v)
+            u, v = rng.choice(pool), rng.choice(pool)
+            for metric in (L1, lp(2), lp(3), LINF, HAMMING):
+                expected = word_pair_distance(metric.kind, u, v, metric.p or 1)
+                assert distance(metric, Permutation(u), Permutation(v)) == expected
 
     def test_mixed_degrees(self):
         u, v = parse("2 1"), parse("1 3 2")
@@ -108,21 +105,12 @@ class TestPairwiseDistance:
 
 class TestMaxDistance:
     def test_l1_table(self):
-        assert [max_distance(L1, m) for m in range(2, 8)] == [2, 4, 8, 12, 18, 24]
+        assert [max_l1(m) for m in range(2, 8)] == [2, 4, 8, 12, 18, 24]
 
     def test_l1_closed_form_vs_brute(self):
         for m in range(1, 8):
             brute = max(distance_to_identity(L1, Permutation(w)) for w in words(m))
             assert max_l1(m) == brute
-
-    def test_other_metrics_brute(self):
-        assert max_distance(KENDALL, 4) == 6
-        assert max_distance(HAMMING, 5) == 5
-        assert max_distance(LINF, 4) == 3
-
-    def test_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            max_distance(KENDALL, 11)
 
 
 class TestProperties:
