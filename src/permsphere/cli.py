@@ -86,6 +86,9 @@ def cmd_beta(args) -> int:
         print("error: give exactly one of --k or --radius", file=sys.stderr)
         return 1
     radius = args.radius if args.radius is not None else 2 * args.k
+    if radius < 0:
+        print("error: radius must be nonnegative", file=sys.stderr)
+        return 1
     single = args.m is not None and args.q is not None
     try:
         table = beta_table(metric)
@@ -111,6 +114,10 @@ def cmd_beta(args) -> int:
 
 def cmd_poly(args) -> int:
     metric = _metric(args.metric)
+    if args.eval is not None and args.eval < 1:
+        # the polynomial counts permutations only in S_n with n >= 1
+        print(f"error: --eval must be at least 1, got {args.eval}", file=sys.stderr)
+        return 1
     try:
         poly = growth.sphere_polynomial(metric, args.radius)
         if args.eval is not None:

@@ -6,7 +6,8 @@ Two independent counting paths live here:
   distance of each prefix, and tallies the distance of every permutation,
 * the pipeline, which counts connected parts in polynomial time, combines
   them through the composition convolution and weighs each (m, q) cell by
-  the guarded binomial [n+q-m choose q].
+  the binomial [n+q-m choose q]; a query evaluates the cells it builds as
+  one integer polynomial in n.
 
 Cross-validating the two is the whole point of the package, so the pipeline
 never enumerates a symmetric group and never reads the oracle's sweep.
@@ -319,7 +320,15 @@ def connected_histogram(metric: MetricId, m: int) -> dict[int, int]:
     empty histogram.
     """
     base = _pipeline(metric)[1]
-    return base(m) if m >= 2 else {}
+    if m < 2:
+        return {}
+    began = time.perf_counter()
+    hist = base(m)
+    log.debug(
+        "connected base of degree %d under %s: %d distances in %.3f s",
+        m, metric.name, len(hist), time.perf_counter() - began,
+    )
+    return hist
 
 
 # -- oracle ---------------------------------------------------------------
@@ -460,23 +469,79 @@ def evaluate_terms(terms: Terms, n: int) -> int:
     return sum(c * guarded_binom(n + q - m, q) for c, m, q in terms)
 
 
+@cache
+def _falling(d: int, q: int) -> tuple[int, ...]:
+    """Coefficients, ascending in n, of (n-d)(n-d-1)...(n-d-q+1)."""
+    out = [1]
+    for t in range(d, d + q):
+        # multiply by (n - t)
+        out = [a - t * b for a, b in zip([0, *out], [*out, 0])]
+    return tuple(out)
+
+
+def expand_terms(terms: Terms) -> tuple[tuple[int, ...], int]:
+    """(a, D) with sum c * [n+q-m choose q] = (sum a_i n^i) / D as
+    polynomials in n, ignoring the i < 0 guard; D = Q! for the largest q.
+
+    [n+q-m choose q] is the falling factorial (n-d)...(n-d-q+1) over q!,
+    with d = m - q, so every coefficient is an integer over Q!.
+    """
+    top = max((q for _, _, q in terms), default=0)
+    denominator = math.factorial(top)
+    a = [0] * (top + 1)
+    for c, m, q in terms:
+        scale = c * (denominator // math.factorial(q))
+        for i, f in enumerate(_falling(m - q, q)):
+            a[i] += scale * f
+    return tuple(a), denominator
+
+
 # A cell with m > n weighs [n+q-m choose q] = 0, so a query at degree n
 # builds only the cells with m <= n. Every cell has m <= 2 N(R) <= 2R, so
-# min(n, 2R) keeps the memo keys bounded as n grows.
+# min(n, 2R) keeps the memo keys bounded as n grows. Every cell built has
+# n + q - m >= q >= 0, where the guard never applies, so at that n the
+# guarded sum equals the plain polynomial of the same terms.
+
+
+@cache
+def _pipeline_form(
+    metric: MetricId, radius: int, top: int, ball: bool
+) -> tuple[tuple[int, ...], int]:
+    """expand_terms of the sphere or ball terms with m <= top."""
+    began = time.perf_counter()
+    terms = (ball_terms if ball else sphere_terms)(metric, radius, top)
+    form = expand_terms(terms)
+    log.debug(
+        "pipeline %s form at radius %d, m <= %d, under %s: %d terms of degree %d in %.3f s",
+        "ball" if ball else "sphere", radius, top, metric.name, len(terms),
+        len(form[0]) - 1, time.perf_counter() - began,
+    )
+    return form
+
+
+def _pipeline_count(metric: MetricId, n: int, radius: int, ball: bool) -> int:
+    if n < 1:
+        raise ValueError("n must be positive")
+    a, denominator = _pipeline_form(metric, radius, min(n, 2 * radius), ball)
+    total = 0
+    for c in reversed(a):
+        total = total * n + c
+    count, rest = divmod(total, denominator)
+    if rest:
+        raise ArithmeticError(
+            f"pipeline count for {metric.name} at n={n}, radius={radius} is not an integer"
+        )
+    return count
 
 
 def pipeline_sphere(metric: MetricId, n: int, radius: int) -> int:
     """Sphere cardinality via the split-type sum, exact for every n >= 1."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return evaluate_terms(sphere_terms(metric, radius, min(n, 2 * radius)), n)
+    return _pipeline_count(metric, n, radius, ball=False)
 
 
 def pipeline_ball(metric: MetricId, n: int, radius: int) -> int:
     """Ball cardinality via the split-type sum, exact for every n >= 1."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return evaluate_terms(ball_terms(metric, radius, min(n, 2 * radius)), n)
+    return _pipeline_count(metric, n, radius, ball=True)
 
 
 # -- reports --------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Counting polynomials in the guarded binomial basis, and closed forms.
 
 The binomial basis is the source of truth: a term (c, m, q) denotes
-c * [n+q-m choose q] with the i < 0 guard, so evaluation is an exact count
-for *every* n >= 1, not only in the polynomial range n >= N(R).  The
-monomial expansion over exact rationals is a derived view.
+c * [n+q-m choose q] with the i < 0 guard, so ``BinomialPoly.evaluate`` is
+an exact count for *every* n >= 1, not only in the polynomial range
+n >= N(R).  The monomial form is derived from the terms by one integer
+expansion, ``enumeration.expand_terms``: ``to_rational`` divides it out
+into exact rationals, and pipeline queries evaluate it by Horner's rule.
+Those queries build only the cells with m <= n, where n + q - m >= q >= 0
+and the guard never applies, so there the monomial form is the count.
 """
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .enumeration import ball_terms, evaluate_terms, sphere_terms
+from .enumeration import ball_terms, evaluate_terms, expand_terms, sphere_terms
 from .metrics import L1, MetricId, max_l1
 from .perm import guarded_binom
 
@@ -161,32 +165,8 @@ def ball_polynomial(metric: MetricId, radius: int) -> BinomialPoly:
 
 def to_rational(poly: BinomialPoly) -> RationalPoly:
     """Exact monomial expansion; valid as a count for n >= N(R)."""
-    coeffs = [Fraction(0)]
-    for c, m, q in poly.terms:
-        # binom(n+q-m, q) = (1/q!) * prod_{t=0..q-1} (n + q - m - t)
-        term = [Fraction(c, math.factorial(q))]
-        for t in range(q):
-            shift = q - m - t
-            term = _poly_mul_linear(term, shift)
-        coeffs = _poly_add(coeffs, term)
-    return RationalPoly(tuple(coeffs))
-
-
-def _poly_mul_linear(coeffs: list[Fraction], shift: int) -> list[Fraction]:
-    """Multiply by (n + shift)."""
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        out[i + 1] += c
-        out[i] += c * shift
-    return out
-
-
-def _poly_add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]
+    a, denominator = expand_terms(poly.terms)
+    return RationalPoly(tuple(Fraction(c, denominator) for c in a))
 
 
 # -- closed forms for l1 --------------------------------------------------

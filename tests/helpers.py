@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 
@@ -210,3 +211,25 @@ def all_swaps(w: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             lst = list(w)
             lst[i], lst[j] = lst[j], lst[i]
             yield tuple(lst)
+
+
+def rational_expansion(terms: Iterable[tuple[int, int, int]]) -> list[Fraction]:
+    """Ascending monomial coefficients of sum c * binom(n+q-m, q), without
+    the i < 0 guard, multiplying in one linear factor at a time over exact
+    rationals: the reference for ``enumeration.expand_terms``."""
+    coeffs = [Fraction(0)]
+    for c, m, q in terms:
+        # binom(n+q-m, q) = (1/q!) * prod_{t=0..q-1} (n + q - m - t)
+        term = [Fraction(c, math.factorial(q))]
+        for t in range(q):
+            shifted = [Fraction(0)] * (len(term) + 1)
+            for i, x in enumerate(term):
+                shifted[i + 1] += x
+                shifted[i] += x * (q - m - t)
+            term = shifted
+        width = max(len(coeffs), len(term))
+        coeffs = [
+            (coeffs[i] if i < len(coeffs) else 0) + (term[i] if i < len(term) else 0)
+            for i in range(width)
+        ]
+    return coeffs

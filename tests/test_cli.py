@@ -103,6 +103,17 @@ class TestBeta:
         code = main(["beta", "--metric", "l1", "--m", "2"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [("--metric", "kendall", "--radius", "-3", "--m", "4", "--q", "2"), ("--metric", "l1", "--k", "-1")],
+        ids=["radius", "k"],
+    )
+    def test_negative_radius_refused(self, capsys, args):
+        code = main(["beta", *args])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: radius must be nonnegative\n"
+
     def test_csv_header(self, capsys):
         code, out = run(capsys, "--format", "csv", "beta", "--metric", "l1", "--k", "2")
         rows = list(csv.DictReader(io.StringIO(out)))
@@ -126,6 +137,13 @@ class TestPoly:
     def test_eval(self, capsys):
         code, out = run(capsys, "poly", "--metric", "l1", "--radius", "12", "--eval", "5")
         assert code == 0 and out.strip() == "20"
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_eval_below_one_refused(self, capsys, n):
+        code = main(["poly", "--metric", "l1", "--radius", "4", "--eval", str(n)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: --eval must be at least 1, got {n}\n"
 
     def test_binomial_json(self, capsys):
         code, out = run(

@@ -278,7 +278,7 @@ class TestPipeline:
         from permsphere import enumeration
         from permsphere.enumeration import ball_terms, sphere_terms
 
-        for memo in (sphere_terms, ball_terms, BetaTable._convolve):
+        for memo in (sphere_terms, ball_terms, BetaTable._convolve, enumeration._pipeline_form):
             memo.cache_clear()
         degrees = []
         monkeypatch.setattr(
@@ -289,6 +289,29 @@ class TestPipeline:
         assert pipeline_ball(KENDALL, 3, 12) == 6
         assert pipeline_sphere(L1, 3, 20) == 0
         assert degrees and max(degrees) <= 3
+
+    def test_cold_build_logs_stage_times(self, caplog):
+        from permsphere import enumeration
+        from permsphere.enumeration import ball_terms, sphere_terms
+
+        for memo in (connected_histogram, sphere_terms, ball_terms, BetaTable._convolve,
+                     enumeration._pipeline_form):
+            memo.cache_clear()
+        with caplog.at_level(logging.DEBUG, logger="permsphere.enumeration"):
+            assert pipeline_ball(L1, 10, 6) == 286
+        messages = [r.getMessage() for r in caplog.records]
+        bases = [text for text in messages if text.startswith("connected base of degree ")]
+        forms = [text for text in messages if text.startswith("pipeline ")]
+        assert [text.split()[4] for text in bases] == ["2", "3", "4"]
+        assert all(" under l1: " in text and text.endswith(" s") for text in bases)
+        assert len(forms) == 1
+        assert forms[0].startswith("pipeline ball form at radius 6, m <= 10, under l1: ")
+        assert " terms of degree 3 in " in forms[0]
+        assert len(messages) == 4
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="permsphere.enumeration"):
+            assert pipeline_ball(L1, 10, 6) == 286
+        assert caplog.records == []
 
     def test_ball_of_maximal_radius_is_the_group(self):
         for n in range(1, 12):

@@ -26,7 +26,10 @@ from permsphere import (
     sphere_polynomial,
     to_rational,
 )
+from permsphere.enumeration import ball_terms, evaluate_terms, expand_terms, sphere_terms
 from permsphere.growth import derangements
+
+from helpers import rational_expansion
 
 
 class TestBinomialPoly:
@@ -146,6 +149,41 @@ class TestToRational:
             rational = to_rational(poly)
             for n in range(k, 20):
                 assert rational.evaluate(n) == poly.evaluate(n)
+
+
+class TestExpandTerms:
+    """expand_terms, the one monomial expansion, against the Fraction reference."""
+
+    @staticmethod
+    def assert_matches_reference(terms):
+        a, denominator = expand_terms(terms)
+        assert denominator == math.factorial(max((q for _, _, q in terms), default=0))
+        assert [Fraction(c, denominator) for c in a] == rational_expansion(terms)
+
+    @pytest.mark.parametrize("metric", [L1, KENDALL], ids=["l1", "kendall"])
+    def test_sphere_and_ball_polynomials(self, metric):
+        for radius in range(17):
+            self.assert_matches_reference(sphere_polynomial(metric, radius).terms)
+            self.assert_matches_reference(ball_polynomial(metric, radius).terms)
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_truncations(self, k):
+        self.assert_matches_reference(q_polynomial(k).terms)
+        self.assert_matches_reference(r_polynomial(k).terms)
+
+
+class TestPipelineEvaluatesTruncatedTerms:
+    """A query's Horner evaluation equals the guarded sum of the terms it builds."""
+
+    @pytest.mark.parametrize("metric, max_radius", [(L1, 16), (KENDALL, 10)], ids=["l1", "kendall"])
+    def test_sphere_and_ball(self, metric, max_radius):
+        for radius in range(max_radius + 1):
+            for n in (*range(1, 2 * radius + 3), 100, 1500, 10**6):
+                top = min(n, 2 * radius)
+                sphere = evaluate_terms(sphere_terms(metric, radius, top), n)
+                ball = evaluate_terms(ball_terms(metric, radius, top), n)
+                assert pipeline_sphere(metric, n, radius) == sphere
+                assert pipeline_ball(metric, n, radius) == ball
 
 
 class TestClosedFormBeta:
