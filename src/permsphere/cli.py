@@ -9,7 +9,7 @@ import logging
 import sys
 
 from . import enumeration, growth, verify as verify_mod
-from .enumeration import beta_table, count_report, split_cells
+from .enumeration import beta_table, count_report, pipeline_sphere, split_cells
 from .metrics import MetricId, distance, distance_to_identity
 from .perm import Permutation
 
@@ -119,15 +119,16 @@ def cmd_poly(args) -> int:
         print(f"error: --eval must be at least 1, got {args.eval}", file=sys.stderr)
         return 1
     try:
-        poly = growth.sphere_polynomial(metric, args.radius)
         if args.eval is not None:
-            value = poly.evaluate(args.eval)
+            # the polynomial's value at n, built only from the cells with m <= n
+            value = pipeline_sphere(metric, args.eval, args.radius)
             _emit_rows(
                 args.format,
                 [{"metric": metric.name, "radius": args.radius, "n": args.eval, "value": str(value)}],
                 [str(value)],
             )
             return 0
+        poly = growth.sphere_polynomial(metric, args.radius)
         if args.basis == "monomial":
             rational = growth.to_rational(poly)
             _emit_rows(args.format, [rational.as_dict()], [str(rational)])

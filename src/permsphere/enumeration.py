@@ -20,7 +20,9 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterator
+from itertools import permutations, product
+from operator import getitem
+from typing import Callable, Iterable, Iterator
 
 from .metrics import KENDALL, MetricId
 from .perm import guarded_binom
@@ -55,13 +57,21 @@ def check_cap(n: int) -> None:
 # -- the oracle's sweep (cached) ------------------------------------------
 #
 # Each walker visits S_n depth first, one position at a time, carrying the
-# distance of the placed prefix, so a permutation costs one step at its
-# leaf rather than a recompute of the whole word. Positions and values run
-# over 0..n-1, and ``rem`` is the sorted tuple of values still unplaced.
-# There is one walker per step rule, because a generic per-node callback
-# makes the walk about six times slower (l1, S_10), and each walker places
-# the last three positions inline. Nothing is memoized: every permutation is a leaf
-# exactly once. The ``i == n`` leaf is reached only for n < 3.
+# distance of the placed prefix. Positions and values run over 0..n-1, and
+# ``rem`` is the sorted tuple of values still unplaced. There is one walker
+# per step rule, because a generic per-node callback makes the walk about
+# six times slower (l1, S_10).
+#
+# The l1, lp, Hamming, linf and Kendall walkers stop the prefix walk at
+# depth ``split`` and finish each node from its suffix list: the distances
+# of the last k positions, one entry per arrangement of the k values in
+# ``rem`` (k! entries, each a permutation of its own). A node with prefix
+# distance d tallies d + t for every entry t, so every permutation is still
+# a leaf exactly once, at its own distance. The lists depend only on
+# ``rem``, so they are built on first use and dropped with the sweep; they
+# are never histograms, which would merge permutations at equal distance.
+# Cayley's suffix depends on the paths the prefix made, so its walker
+# places the last three positions inline instead.
 
 # A position histogram longer than this (lp with a large p) is a dict.
 _LIST_HISTOGRAM_LIMIT = 1 << 20
@@ -72,6 +82,12 @@ def _nonzero(hist) -> dict[int, int]:
     return {d: c for d, c in pairs if c}
 
 
+def _split(n: int) -> int:
+    """Depth where the prefix walk ends: the last n // 2 positions, and at
+    least one, come from a suffix list (k = 5 of 10, 4 of 9)."""
+    return n - max(1, n // 2)
+
+
 def _position_costs(metric: MetricId, n: int) -> list[list[int]]:
     """cost[i][v]: what value v at position i contributes."""
     if metric.kind == "hamming":
@@ -80,29 +96,41 @@ def _position_costs(metric: MetricId, n: int) -> list[list[int]]:
     return [[abs(v - i) ** p for v in range(n)] for i in range(n)]
 
 
+class _SuffixCosts(dict):
+    """rem -> its suffix list, built on first lookup: for each arrangement
+    of ``rem`` over the positions of the cost ``rows`` (the last k), in
+    ``itertools.permutations`` order, the ``fold`` (sum, or max for linf)
+    of its position costs."""
+
+    def __init__(self, rows: list[list[int]], fold: Callable[[Iterable[int]], int]):
+        super().__init__()
+        self.rows = rows
+        self.fold = fold
+
+    def __missing__(self, rem: tuple[int, ...]) -> list[int]:
+        rows, fold = self.rows, self.fold
+        costs = self[rem] = [fold(map(getitem, rows, arr)) for arr in permutations(rem)]
+        return costs
+
+
+def _kendall_suffix(k: int) -> list[int]:
+    """The inversions inside the last k positions, one entry per inversion
+    table (c_{n-k}, ..., c_{n-1}) with c_i in 0..n-1-i."""
+    return [sum(code) for code in product(*map(range, range(k, 0, -1)))]
+
+
 def _walk_sum(metric: MetricId, n: int) -> dict[int, int]:
     """l1, lp and Hamming: placing v at position i adds cost[i][v]."""
     cost = _position_costs(metric, n)
     top = sum(map(max, cost))
     hist = [0] * (top + 1) if top < _LIST_HISTOGRAM_LIMIT else defaultdict(int)
-    last = n - 3
+    split = _split(n)
+    suffix = _SuffixCosts(cost[split:], sum)
 
     def walk(i: int, d: int, rem: tuple[int, ...]) -> None:
-        if i == last:
-            ci, ca, cb = cost[i:]
-            x, y, z = rem
-            e = d + ci[x]
-            hist[e + ca[y] + cb[z]] += 1
-            hist[e + ca[z] + cb[y]] += 1
-            e = d + ci[y]
-            hist[e + ca[x] + cb[z]] += 1
-            hist[e + ca[z] + cb[x]] += 1
-            e = d + ci[z]
-            hist[e + ca[x] + cb[y]] += 1
-            hist[e + ca[y] + cb[x]] += 1
-            return
-        if i == n:
-            hist[d] += 1
+        if i == split:
+            for t in suffix[rem]:
+                hist[d + t] += 1
             return
         ci = cost[i]
         for j, v in enumerate(rem):
@@ -116,24 +144,13 @@ def _walk_max(metric: MetricId, n: int) -> dict[int, int]:
     """linf: placing v at position i raises the running max to |v - i|."""
     cost = _position_costs(metric, n)
     hist = [0] * n
-    last = n - 3
+    split = _split(n)
+    suffix = _SuffixCosts(cost[split:], max)
 
     def walk(i: int, d: int, rem: tuple[int, ...]) -> None:
-        if i == last:
-            ci, ca, cb = cost[i:]
-            x, y, z = rem
-            e = max(d, ci[x])
-            hist[max(e, ca[y], cb[z])] += 1
-            hist[max(e, ca[z], cb[y])] += 1
-            e = max(d, ci[y])
-            hist[max(e, ca[x], cb[z])] += 1
-            hist[max(e, ca[z], cb[x])] += 1
-            e = max(d, ci[z])
-            hist[max(e, ca[x], cb[y])] += 1
-            hist[max(e, ca[y], cb[x])] += 1
-            return
-        if i == n:
-            hist[d] += 1
+        if i == split:
+            for t in suffix[rem]:
+                hist[t if t > d else d] += 1
             return
         ci = cost[i]
         for j, v in enumerate(rem):
@@ -148,20 +165,16 @@ def _walk_kendall(metric: MetricId, n: int) -> dict[int, int]:
     """Kendall: placing the j-th smallest unplaced value opens j inversions,
     one with each smaller value still to come. Only how many values remain
     matters, so the walk runs over the inversion tables (Lehmer codes)
-    c_i in 0..n-1-i, which list S_n once each."""
+    c_i in 0..n-1-i, which list S_n once each, and every node at ``split``
+    shares one suffix list."""
     hist = [0] * (n * (n - 1) // 2 + 1)
-    last = n - 3
+    split = _split(n)
+    suffix = _kendall_suffix(n - split)
 
     def walk(i: int, d: int) -> None:
-        if i == last:
-            # the smallest, middle or largest of three, then the last two
-            # in order (no inversion) or reversed (one)
-            for e in (d, d + 1, d + 2):
-                hist[e] += 1
-                hist[e + 1] += 1
-            return
-        if i == n:
-            hist[d] += 1
+        if i == split:
+            for t in suffix:
+                hist[d + t] += 1
             return
         for j in range(n - i):
             walk(i + 1, d + j)

@@ -30,6 +30,16 @@ class MetricId:
                 raise ValueError("lp metric requires an integer exponent p >= 1")
         elif self.p is not None:
             raise ValueError(f"metric {self.kind!r} takes no exponent")
+        # Every memo lookup hashes its metric, so the field tuple is hashed
+        # once here rather than on each lookup.
+        object.__setattr__(self, "_hash", hash((self.kind, self.p)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild from the fields: a string's hash differs between processes
+        return MetricId, (self.kind, self.p)
 
     @property
     def name(self) -> str:

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from permsphere import enumeration
+from permsphere import enumeration, growth
 from permsphere.cli import main
+from permsphere.metrics import MetricId
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -137,6 +138,32 @@ class TestPoly:
     def test_eval(self, capsys):
         code, out = run(capsys, "poly", "--metric", "l1", "--radius", "12", "--eval", "5")
         assert code == 0 and out.strip() == "20"
+
+    @pytest.mark.parametrize("metric, radius, n", [
+        ("l1", 0, 1), ("l1", 9, 6), ("l1", 16, 3), ("l1", 16, 12), ("l1", 24, 40),
+        ("kendall", 5, 2), ("kendall", 8, 7), ("kendall", 8, 100),
+    ])
+    def test_eval_is_the_polynomial_value(self, capsys, metric, radius, n):
+        poly = growth.sphere_polynomial(MetricId.parse(metric), radius)
+        code, out = run(capsys, "poly", "--metric", metric, "--radius", str(radius), "--eval", str(n))
+        assert code == 0 and out == f"{poly.evaluate(n)}\n"
+
+    def test_eval_builds_no_base_above_n(self, capsys, monkeypatch):
+        from permsphere.enumeration import BetaTable, ball_terms, connected_histogram, sphere_terms
+
+        for memo in (sphere_terms, ball_terms, BetaTable._convolve, enumeration._pipeline_form):
+            memo.cache_clear()
+        degrees = []
+        monkeypatch.setattr(
+            enumeration,
+            "connected_histogram",
+            lambda metric, m: degrees.append(m) or connected_histogram(metric, m),
+        )
+        code, out = run(capsys, "poly", "--metric", "l1", "--radius", "40", "--eval", "3")
+        assert code == 0 and out == "0\n"
+        code, out = run(capsys, "poly", "--metric", "kendall", "--radius", "2", "--eval", "3")
+        assert code == 0 and out == "2\n"
+        assert degrees and max(degrees) <= 3
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_eval_below_one_refused(self, capsys, n):

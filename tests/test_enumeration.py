@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 
@@ -20,6 +21,10 @@ from permsphere import (
 )
 from permsphere.enumeration import (
     EnumerationCapError,
+    _kendall_suffix,
+    _position_costs,
+    _split,
+    _SuffixCosts,
     attainable_radii,
     connected_histogram,
     group_histogram,
@@ -83,9 +88,12 @@ class TestOracle:
             "enumerating S_5 (120 permutations); this may take a while"
         ]
 
-    # n = 1 and 2 end the walk at a leaf; n >= 3 end it in the inline last
-    # three positions. lp:40 distances are too large for a list histogram.
-    @pytest.mark.parametrize("n", range(1, 8))
+    # Every walker but Cayley's finishes from suffix lists of the last
+    # max(1, n // 2) positions: at n = 1 the whole word is one suffix, and
+    # n = 8 splits 4 + 4. Cayley ends at a leaf for n = 1 and 2 and in its
+    # inline last three positions above. lp:40 distances are too large for
+    # a list histogram.
+    @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("name, dist", [
         ("l1", word_l1), ("lp:2", word_lp(2)), ("lp:3", word_lp(3)), ("lp:40", word_lp(40)),
         ("linf", word_linf), ("hamming", word_hamming), ("cayley", word_cayley),
@@ -93,6 +101,31 @@ class TestOracle:
     ])
     def test_sweep_equals_whole_word_count(self, name, dist, n):
         assert group_histogram(MetricId.parse(name), n) == word_histogram(dist, n)
+
+    # Each suffix list holds one distance per arrangement of the remaining
+    # values, never a histogram, so a sweep tallies each permutation once.
+    @pytest.mark.parametrize("n", [1, 2, 5, 7])
+    @pytest.mark.parametrize("name, fold, cost", [
+        ("l1", sum, lambda g: g), ("lp:3", sum, lambda g: g**3),
+        ("hamming", sum, lambda g: int(g != 0)), ("linf", max, lambda g: g),
+    ], ids=["l1", "lp:3", "hamming", "linf"])
+    def test_suffix_lists_hold_every_arrangement_once(self, name, fold, cost, n):
+        split = _split(n)
+        k = n - split
+        suffix = _SuffixCosts(_position_costs(MetricId.parse(name), n)[split:], fold)
+        for rem in itertools.combinations(range(n), k):
+            expected = [
+                fold(cost(abs(v - i)) for i, v in enumerate(arr, split))
+                for arr in itertools.permutations(rem)
+            ]
+            assert len(suffix[rem]) == math.factorial(k)
+            assert suffix[rem] == expected
+        assert len(suffix) == math.comb(n, k)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_kendall_suffix_lists_the_inversions_of_s_k(self, k):
+        expected = [word_inversions(w) for w in itertools.permutations(range(k))]
+        assert _kendall_suffix(k) == expected
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_kendall_is_mahonian(self, n):

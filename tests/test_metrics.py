@@ -1,5 +1,10 @@
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +26,7 @@ from permsphere.metrics import max_l1
 
 from helpers import adjacent_swaps, all_swaps, bfs_word_distance, word_pair_distance, words
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 SIX_METRICS = (L1, lp(2), LINF, HAMMING, CAYLEY, KENDALL)
 
 
@@ -38,6 +44,26 @@ class TestMetricId:
             MetricId.parse("ulam")
         with pytest.raises(ValueError):
             MetricId.parse("lp:0")
+
+    def test_equal_metrics_hash_equal(self):
+        assert lp(1) is L1
+        assert MetricId("lp", 2) == lp(2) and hash(MetricId("lp", 2)) == hash(lp(2))
+        assert MetricId("lp", 2) != lp(3) and MetricId("l1") != MetricId("linf")
+        assert {MetricId("kendall"): 1}[KENDALL] == 1
+
+    def test_unpickled_in_another_process_hashes_equal(self):
+        # the child hashes strings with another seed, so a hash carried
+        # through the pickle would no longer match a fresh instance there
+        payload = pickle.dumps([lp(2), KENDALL])
+        child = (
+            "import pickle, sys\n"
+            "from permsphere.metrics import KENDALL, lp\n"
+            "got = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert {lp(2): 0, KENDALL: 1}[got[1]] == 1 and hash(got[0]) == hash(lp(2))\n"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": "12345",
+               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", child], input=payload, env=env, check=True)
 
 
 class TestDistanceToIdentity:
