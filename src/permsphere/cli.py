@@ -14,13 +14,15 @@ from .metrics import MetricId, distance, distance_to_identity
 from .perm import Permutation
 
 
-def _emit_rows(fmt: str, rows: list[dict], text_lines: list[str]) -> None:
+def _emit_rows(
+    fmt: str, rows: list[dict], text_lines: list[str], fields: list[str] | None = None
+) -> None:
     if fmt == "json":
         doc = rows[0] if len(rows) == 1 else rows
         print(json.dumps(doc, indent=2))
     elif fmt == "csv":
         out = io.StringIO()
-        writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(out, fieldnames=fields or list(rows[0]))
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
@@ -135,8 +137,8 @@ def cmd_poly(args) -> int:
         else:
             row = poly.as_dict()
             if args.format == "csv":
-                rows = [{"coef": t["coef"], "m": t["m"], "q": t["q"]} for t in row["terms"]]
-                _emit_rows(args.format, rows, [])
+                # a zero polynomial has no terms, so the header is given
+                _emit_rows(args.format, row["terms"], [], ["coef", "m", "q"])
             else:
                 _emit_rows(args.format, [row], [str(poly)])
     except ValueError as exc:

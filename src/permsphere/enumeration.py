@@ -20,12 +20,12 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations, product
+from itertools import permutations
 from operator import getitem
 from typing import Callable, Iterable, Iterator
 
-from .metrics import KENDALL, MetricId
-from .perm import guarded_binom
+from .metrics import KENDALL, MetricId, distance_to_identity
+from .perm import Permutation, guarded_binom
 
 log = logging.getLogger(__name__)
 
@@ -62,16 +62,15 @@ def check_cap(n: int) -> None:
 # per step rule, because a generic per-node callback makes the walk about
 # six times slower (l1, S_10).
 #
-# The l1, lp, Hamming, linf and Kendall walkers stop the prefix walk at
-# depth ``split`` and finish each node from its suffix list: the distances
-# of the last k positions, one entry per arrangement of the k values in
-# ``rem`` (k! entries, each a permutation of its own). A node with prefix
-# distance d tallies d + t for every entry t, so every permutation is still
-# a leaf exactly once, at its own distance. The lists depend only on
-# ``rem``, so they are built on first use and dropped with the sweep; they
-# are never histograms, which would merge permutations at equal distance.
-# Cayley's suffix depends on the paths the prefix made, so its walker
-# places the last three positions inline instead.
+# Every walker stops the prefix walk at depth ``split`` and finishes each
+# node from a suffix list: the distances of the last k positions, one entry
+# per arrangement of the k values in ``rem`` (k! entries, each a
+# permutation of its own). A node with prefix distance d tallies d + t for
+# every entry t, so every permutation is still a leaf exactly once, at its
+# own distance. The l1, lp, Hamming and linf lists depend on ``rem``, so
+# they are built on first use and dropped with the sweep; Kendall and
+# Cayley share one list per sweep, the distances of S_k itself. No list is
+# ever a histogram, which would merge permutations at equal distance.
 
 # A position histogram longer than this (lp with a large p) is a dict.
 _LIST_HISTOGRAM_LIMIT = 1 << 20
@@ -113,10 +112,11 @@ class _SuffixCosts(dict):
         return costs
 
 
-def _kendall_suffix(k: int) -> list[int]:
-    """The inversions inside the last k positions, one entry per inversion
-    table (c_{n-k}, ..., c_{n-1}) with c_i in 0..n-1-i."""
-    return [sum(code) for code in product(*map(range, range(k, 0, -1)))]
+def _group_suffix(metric: MetricId, k: int) -> list[int]:
+    """The distance of every permutation of S_k, in ``itertools.permutations``
+    order: the suffix list of the Kendall and Cayley walkers, which is the
+    same for every node at ``split``."""
+    return [distance_to_identity(metric, Permutation(w)) for w in permutations(range(1, k + 1))]
 
 
 def _walk_sum(metric: MetricId, n: int) -> dict[int, int]:
@@ -169,7 +169,7 @@ def _walk_kendall(metric: MetricId, n: int) -> dict[int, int]:
     shares one suffix list."""
     hist = [0] * (n * (n - 1) // 2 + 1)
     split = _split(n)
-    suffix = _kendall_suffix(n - split)
+    suffix = _group_suffix(metric, n - split)
 
     def walk(i: int, d: int) -> None:
         if i == split:
@@ -187,27 +187,22 @@ def _walk_cayley(metric: MetricId, n: int) -> dict[int, int]:
     """Cayley: the placed edges i -> w(i) form disjoint paths and cycles,
     and the distance is n minus the number of cycles. Placing v at
     position i closes a cycle (step 0) when v starts the path that ends at
-    i; otherwise it joins that path to the one starting at v (step 1)."""
+    i; otherwise it joins that path to the one starting at v (step 1).
+
+    At ``split`` each open path starts at a value in ``rem`` and ends at an
+    open position, so an arrangement a of ``rem`` closes them into the
+    cycles of p -> end[a(p)]. As a runs over every arrangement, that map
+    runs over S_k once each, so every node shares one suffix list."""
     hist = [0] * n
     start = list(range(n))  # start[e]: the first vertex of the path ending at e
     end = list(range(n))  # end[s]: the last vertex of the path starting at s
-    last = n - 3
+    split = _split(n)
+    suffix = _group_suffix(metric, n - split)
 
     def walk(i: int, d: int, rem: tuple[int, ...]) -> None:
-        if i == last:
-            x, y, z = rem
-            s, t = start[i], start[i + 1]
-            for v, a, b in ((x, y, z), (y, x, z), (z, x, y)):
-                if v == s:
-                    e, u = d, t
-                else:  # the join makes s the start of the path ending at i + 1
-                    e, u = d + 1, (s if end[v] == i + 1 else t)
-                # the last position always closes the last open path
-                hist[e + (u != a)] += 1
-                hist[e + (u != b)] += 1
-            return
-        if i == n:
-            hist[d] += 1
+        if i == split:
+            for t in suffix:
+                hist[d + t] += 1
             return
         s = start[i]
         for j, v in enumerate(rem):

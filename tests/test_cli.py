@@ -179,6 +179,12 @@ class TestPoly:
         doc = json.loads(out)
         assert doc["terms"] == [{"coef": "1", "m": 2, "q": 1}]
 
+    def test_zero_polynomial_csv_is_a_header(self, capsys):
+        # an odd l1 radius has the zero polynomial, as text prints 0
+        code, out = run(capsys, "poly", "--metric", "l1", "--radius", "3", "--format", "csv")
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out))) == [["coef", "m", "q"]]
+
 
 class TestVerify:
     def test_small_matrix(self, capsys):

@@ -21,7 +21,7 @@ from permsphere import (
 )
 from permsphere.enumeration import (
     EnumerationCapError,
-    _kendall_suffix,
+    _group_suffix,
     _position_costs,
     _split,
     _SuffixCosts,
@@ -88,11 +88,9 @@ class TestOracle:
             "enumerating S_5 (120 permutations); this may take a while"
         ]
 
-    # Every walker but Cayley's finishes from suffix lists of the last
-    # max(1, n // 2) positions: at n = 1 the whole word is one suffix, and
-    # n = 8 splits 4 + 4. Cayley ends at a leaf for n = 1 and 2 and in its
-    # inline last three positions above. lp:40 distances are too large for
-    # a list histogram.
+    # Every walker finishes from suffix lists of the last max(1, n // 2)
+    # positions: at n = 1 the whole word is one suffix, and n = 8 splits
+    # 4 + 4. lp:40 distances are too large for a list histogram.
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("name, dist", [
         ("l1", word_l1), ("lp:2", word_lp(2)), ("lp:3", word_lp(3)), ("lp:40", word_lp(40)),
@@ -122,16 +120,22 @@ class TestOracle:
             assert suffix[rem] == expected
         assert len(suffix) == math.comb(n, k)
 
+    # Kendall and Cayley finish every node from one list, the distances of
+    # S_k itself, one entry per permutation (1-based words).
     @pytest.mark.parametrize("k", range(1, 7))
-    def test_kendall_suffix_lists_the_inversions_of_s_k(self, k):
-        expected = [word_inversions(w) for w in itertools.permutations(range(k))]
-        assert _kendall_suffix(k) == expected
+    @pytest.mark.parametrize(
+        "name, dist", [("kendall", word_inversions), ("cayley", word_cayley)], ids=["kendall", "cayley"]
+    )
+    def test_group_suffix_lists_the_distances_of_s_k(self, name, dist, k):
+        expected = [dist(w) for w in words(k)]
+        assert _group_suffix(MetricId(name), k) == expected
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_kendall_is_mahonian(self, n):
         assert group_histogram(KENDALL, n) == dict(enumerate(mahonian(n)))
 
-    @pytest.mark.parametrize("n", range(1, 10))
+    # n = 10 is the first size whose suffix list has 120 entries (k = 5)
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_cayley_is_stirling_first_kind(self, n):
         # distance n - k for the permutations with k cycles
         cycles = stirling_cycles(n)
