@@ -9,18 +9,19 @@ import logging
 import sys
 
 from . import enumeration, growth, verify as verify_mod
-from .enumeration import beta_table, count_report, pipeline_sphere, split_cells
+from .enumeration import beta_table, count_report, pipeline_sphere, sphere_terms
 from .metrics import MetricId, distance, distance_to_identity
 from .perm import Permutation
 
 
 def _emit_rows(
-    fmt: str, rows: list[dict], text_lines: list[str], fields: list[str] | None = None
+    fmt: str, doc: dict | list[dict], text_lines: list[str], fields: list[str] | None = None
 ) -> None:
+    """Print one row (a JSON object) or a list of rows (a JSON list) in ``fmt``."""
     if fmt == "json":
-        doc = rows[0] if len(rows) == 1 else rows
         print(json.dumps(doc, indent=2))
     elif fmt == "csv":
+        rows = doc if isinstance(doc, list) else [doc]
         out = io.StringIO()
         writer = csv.DictWriter(out, fieldnames=fields or list(rows[0]))
         writer.writeheader()
@@ -51,7 +52,7 @@ def cmd_dist(args) -> int:
     scale = f"p-th power (p={metric.p})" if metric.kind == "lp" else "distance"
     row = {"metric": metric.name, "value": str(value), "scale": scale}
     text = [f"{value} ({scale})" if metric.kind == "lp" else str(value)]
-    _emit_rows(args.format, [row], text)
+    _emit_rows(args.format, row, text)
     return 0
 
 
@@ -70,7 +71,7 @@ def _cmd_count(args, ball: bool) -> int:
         text.append(f"oracle: {report.oracle_count}")
     if report.match is not None:
         text.append("match" if report.match else "MISMATCH")
-    _emit_rows(args.format, [row], text)
+    _emit_rows(args.format, row, text)
     return 0 if report.match in (True, None) else 2
 
 
@@ -95,8 +96,7 @@ def cmd_beta(args) -> int:
     try:
         table = beta_table(metric)
         cells = [(args.m, args.q)] if single else [
-            (m, q)
-            for m, q in split_cells(metric, radius)
+            (m, q) for _, m, q in sphere_terms(metric, radius)
             if args.m in (None, m) and args.q in (None, q)
         ]
         rows = [
@@ -126,21 +126,21 @@ def cmd_poly(args) -> int:
             value = pipeline_sphere(metric, args.eval, args.radius)
             _emit_rows(
                 args.format,
-                [{"metric": metric.name, "radius": args.radius, "n": args.eval, "value": str(value)}],
+                {"metric": metric.name, "radius": args.radius, "n": args.eval, "value": str(value)},
                 [str(value)],
             )
             return 0
         poly = growth.sphere_polynomial(metric, args.radius)
         if args.basis == "monomial":
             rational = growth.to_rational(poly)
-            _emit_rows(args.format, [rational.as_dict()], [str(rational)])
+            _emit_rows(args.format, rational.as_dict(), [str(rational)])
         else:
             row = poly.as_dict()
             if args.format == "csv":
                 # a zero polynomial has no terms, so the header is given
                 _emit_rows(args.format, row["terms"], [], ["coef", "m", "q"])
             else:
-                _emit_rows(args.format, [row], [str(poly)])
+                _emit_rows(args.format, row, [str(poly)])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 from operator import getitem
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .metrics import KENDALL, MetricId, distance_to_identity
 from .perm import Permutation, guarded_binom
@@ -378,11 +378,12 @@ def connected_beta(metric: MetricId, radius: int, m: int) -> int:
 class BetaTable:
     """Memoized split-type counts beta_D(R, m, q) for a pipeline metric.
 
-    q >= 2 cells are assembled from the connected base by folding one part
-    at a time over the (radius, size) grid; this is the composition
-    convolution without ever materializing compositions. A part of degree
-    m1 lies at distance at least step * (m1 - 1), so a split type of degree
-    m with q parts lies at distance at least step * (m - q).
+    One memoized row per (radius, m), shared by every query, maps q to beta.
+    A split type is a connected first part of degree m1, at distance
+    r1 >= step * (m1 - 1), followed by a split type in the row (radius - r1,
+    m - m1) with one part fewer. The only base case is the empty split type
+    (the row {0: 1} at radius 0, m = 0), so cells outside the support are
+    simply absent from their row.
     """
 
     def __init__(self, metric: MetricId):
@@ -390,26 +391,23 @@ class BetaTable:
         self.step = radius_step(metric)
 
     def beta(self, radius: int, m: int, q: int) -> int:
-        # Cells outside the support and single parts are answered here, so
-        # only q >= 2 cells inside the support reach the memo.
-        if q < 1 or m < 2 * q or radius % self.step or radius < self.step * (m - q):
-            return 0
-        if q == 1:
-            return connected_beta(self.metric, radius, m)
-        return self._convolve(radius, m, q)
+        # the empty split type (q = 0) seeds the rows but is no beta cell
+        return self._row(radius, m).get(q, 0) if q >= 1 else 0
 
     @cache
-    def _convolve(self, radius: int, m: int, q: int) -> int:
-        step = self.step
-        total = 0
-        for m1 in range(2, m - 2 * (q - 1) + 1):
+    def _row(self, radius: int, m: int) -> dict[int, int]:
+        # every caller shares the cached row: read it, never change it
+        if radius == m == 0:
+            return {0: 1}
+        row: dict[int, int] = {}
+        for m1 in range(2, min(m, radius // self.step + 1) + 1):
             hist = connected_histogram(self.metric, m1)
-            # the other q - 1 parts need at least step * (m - m1 - q + 1)
-            for r1 in range(step * (m1 - 1), radius - step * (m - m1 - q + 1) + 1, step):
+            for r1 in range(self.step * (m1 - 1), radius + 1, self.step):
                 count = hist.get(r1)
                 if count:
-                    total += count * self.beta(radius - r1, m - m1, q - 1)
-        return total
+                    for q, rest in self._row(radius - r1, m - m1).items():
+                        row[q + 1] = row.get(q + 1, 0) + count * rest
+        return row
 
 
 @cache
@@ -430,19 +428,6 @@ def size_bound(metric: MetricId, radius: int) -> int:
     return radius // radius_step(metric)
 
 
-def split_cells(
-    metric: MetricId, radius: int, top: int | None = None
-) -> Iterator[tuple[int, int]]:
-    """The (m, q) cells a split type at this radius can occupy: q parts of
-    total degree m, with 2q <= m and m - q <= N(R); with ``top``, only the
-    cells with m <= top."""
-    bound = size_bound(metric, radius)
-    for q in range(1, bound + 1):
-        last = q + bound if top is None else min(q + bound, top)
-        for m in range(2 * q, last + 1):
-            yield m, q
-
-
 Terms = tuple[tuple[int, int, int], ...]  # (coefficient, m, q)
 
 
@@ -452,12 +437,22 @@ def sphere_terms(metric: MetricId, radius: int, top: int | None = None) -> Terms
     cell; with ``top``, only the cells with m <= top."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    began = time.perf_counter()
+    built = BetaTable._row.cache_info().misses
     if radius == 0:
-        return ((1, 0, 0),)
-    table = beta_table(metric)
-    return tuple(
-        (b, m, q) for m, q in split_cells(metric, radius, top) if (b := table.beta(radius, m, q))
+        terms: Terms = ((1, 0, 0),)  # the identity, whose split type is empty
+    else:
+        table = beta_table(metric)
+        bound = size_bound(metric, radius)
+        last = 2 * bound if top is None else min(top, 2 * bound)
+        cells = ((m, q) for q in range(1, bound + 1) for m in range(2 * q, last + 1))
+        terms = tuple((b, m, q) for m, q in cells if (b := table.beta(radius, m, q)))
+    log.debug(
+        "sphere terms at radius %d, m <= %s, under %s: %d cells, %d rows built in %.3f s",
+        radius, top, metric.name, len(terms), BetaTable._row.cache_info().misses - built,
+        time.perf_counter() - began,
     )
+    return terms
 
 
 @cache

@@ -20,7 +20,6 @@ from .enumeration import (
     oracle_sphere,
     pipeline_ball,
     pipeline_sphere,
-    split_cells,
 )
 from .growth import (
     NOT_COVERED,
@@ -261,18 +260,20 @@ def run_verify(max_n: int = 6, max_k: int = 6, include_printed_p6: bool = False)
     undercounts = False
     checked = 0
     for k in range(1, max_k + 1):
-        for m, q in split_cells(L1, 2 * k):
-            cf = closed_form_beta(k, m, q)
-            if cf is NOT_COVERED:
-                continue
-            conv = beta(L1, 2 * k, m, q)
-            checked += 1
-            if cf != conv:
-                bad.append(f"(k={k},m={m},q={q}): closed {cf} vs table {conv}")
-            if disputed_beta_cell(k, m, q):
-                published = published_second_drop_beta(k, q)
-                disputed.append(f"(k={k},m={m},q={q}): published {published}, table {conv}")
-                undercounts = undercounts or published != conv
+        # the closed forms' domain: q parts of degree >= 2, with m - q <= k
+        for q in range(1, k + 1):
+            for m in range(2 * q, k + q + 1):
+                cf = closed_form_beta(k, m, q)
+                if cf is NOT_COVERED:
+                    continue
+                conv = beta(L1, 2 * k, m, q)
+                checked += 1
+                if cf != conv:
+                    bad.append(f"(k={k},m={m},q={q}): closed {cf} vs table {conv}")
+                if disputed_beta_cell(k, m, q):
+                    published = published_second_drop_beta(k, q)
+                    disputed.append(f"(k={k},m={m},q={q}): published {published}, table {conv}")
+                    undercounts = undercounts or published != conv
     report.add(
         _mismatch_check(
             "closed-forms-vs-convolution",

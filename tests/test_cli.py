@@ -127,6 +127,27 @@ class TestBeta:
         assert code == 0
         assert {r["m"]: r["beta"] for r in rows} == {"3": "3", "4": "1"}
 
+    @pytest.mark.parametrize("args", [
+        ("--k", "1"), ("--k", "2"), ("--radius", "0"), ("--k", "6", "--m", "7", "--q", "2"),
+    ])
+    def test_json_is_a_list_whatever_the_row_count(self, capsys, args):
+        code, out = run(capsys, "--format", "json", "beta", "--metric", "l1", *args)
+        doc = json.loads(out)
+        assert code == 0 and isinstance(doc, list) and doc
+        assert all(set(row) == {"radius", "m", "q", "beta"} for row in doc)
+
+    @pytest.mark.parametrize("args", [
+        ("dist", "--metric", "l1", "--perm", "2 1"),
+        ("sphere", "--metric", "l1", "--n", "4", "--radius", "4"),
+        ("ball", "--metric", "kendall", "--n", "4", "--radius", "2"),
+        ("poly", "--metric", "l1", "--radius", "4"),
+        ("poly", "--metric", "l1", "--radius", "4", "--basis", "monomial"),
+        ("poly", "--metric", "l1", "--radius", "4", "--eval", "5"),
+    ])
+    def test_single_row_commands_print_an_object(self, capsys, args):
+        code, out = run(capsys, "--format", "json", *args)
+        assert code == 0 and isinstance(json.loads(out), dict)
+
 
 class TestPoly:
     def test_monomial(self, capsys):
@@ -151,7 +172,7 @@ class TestPoly:
     def test_eval_builds_no_base_above_n(self, capsys, monkeypatch):
         from permsphere.enumeration import BetaTable, ball_terms, connected_histogram, sphere_terms
 
-        for memo in (sphere_terms, ball_terms, BetaTable._convolve, enumeration._pipeline_form):
+        for memo in (sphere_terms, ball_terms, BetaTable._row, enumeration._pipeline_form):
             memo.cache_clear()
         degrees = []
         monkeypatch.setattr(
@@ -187,6 +208,16 @@ class TestPoly:
 
 
 class TestVerify:
+    def test_report_equals_the_pinned_json(self, capsys):
+        """Every verdict and value of the n <= 8, k <= 12 matrix, byte for
+        byte as committed; a pipeline refactor must leave it unchanged."""
+        pinned = (Path(__file__).parent / "verify_n8_k12_p6.json").read_text()
+        code, out = run(
+            capsys, "--format", "json", "verify", "--max-n", "8", "--max-k", "12",
+            "--include-printed-p6",
+        )
+        assert code == 0 and out == pinned
+
     def test_small_matrix(self, capsys):
         code, out = run(capsys, "verify", "--max-n", "4", "--max-k", "3")
         assert code == 0

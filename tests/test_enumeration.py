@@ -28,6 +28,7 @@ from permsphere.enumeration import (
     attainable_radii,
     connected_histogram,
     group_histogram,
+    radius_step,
 )
 from permsphere.metrics import MetricId, max_l1
 
@@ -215,6 +216,21 @@ class TestBeta:
         with pytest.raises(ValueError, match="no split-type pipeline for hamming"):
             BetaTable(HAMMING)
 
+    @pytest.mark.parametrize("metric", [L1, KENDALL], ids=["l1", "kendall"])
+    def test_single_parts_come_through_the_empty_split_type(self, metric):
+        for m in range(2, 11):
+            for r in range(0, max(connected_histogram(metric, m)) + radius_step(metric) + 1):
+                assert beta(metric, r, m, 1) == connected_beta(metric, r, m)
+
+    @pytest.mark.parametrize("metric", [L1, KENDALL], ids=["l1", "kendall"])
+    def test_zero_outside_the_split_types(self, metric):
+        for m in range(0, 9):
+            for r in range(0, 20):
+                assert beta(metric, r, m, 0) == beta(metric, r, m, -1) == 0
+                assert beta(metric, -1 - r, m, 1) == beta(metric, -2 - r, m, 2) == 0
+                if metric == L1 and r % 2:
+                    assert all(beta(metric, r, m, q) == 0 for q in range(1, 5))
+
     @pytest.mark.parametrize("m", range(2, 8))
     def test_convolution_vs_direct_assembly_l1(self, m):
         direct = direct_split_type_counts(word_l1, m)
@@ -315,7 +331,7 @@ class TestPipeline:
         from permsphere import enumeration
         from permsphere.enumeration import ball_terms, sphere_terms
 
-        for memo in (sphere_terms, ball_terms, BetaTable._convolve, enumeration._pipeline_form):
+        for memo in (sphere_terms, ball_terms, BetaTable._row, enumeration._pipeline_form):
             memo.cache_clear()
         degrees = []
         monkeypatch.setattr(
@@ -331,7 +347,7 @@ class TestPipeline:
         from permsphere import enumeration
         from permsphere.enumeration import ball_terms, sphere_terms
 
-        for memo in (connected_histogram, sphere_terms, ball_terms, BetaTable._convolve,
+        for memo in (connected_histogram, sphere_terms, ball_terms, BetaTable._row,
                      enumeration._pipeline_form):
             memo.cache_clear()
         with caplog.at_level(logging.DEBUG, logger="permsphere.enumeration"):
@@ -344,7 +360,16 @@ class TestPipeline:
         assert len(forms) == 1
         assert forms[0].startswith("pipeline ball form at radius 6, m <= 10, under l1: ")
         assert " terms of degree 3 in " in forms[0]
-        assert len(messages) == 4
+        # one line per cold sphere_terms: cells, newly built rows, seconds
+        cells = [text for text in messages if text.startswith("sphere terms at radius ")]
+        assert [text.split()[4].rstrip(",") for text in cells] == ["0", "2", "4", "6"]
+        assert all(", m <= 10, under l1: " in text and text.endswith(" s") for text in cells)
+        assert [int(text.split(": ")[1].split()[0]) for text in cells] == [
+            len(sphere_terms(L1, r, 10)) for r in (0, 2, 4, 6)
+        ]
+        rows = [int(text.split(" cells, ")[1].split()[0]) for text in cells]
+        assert rows[0] == 0 and sum(rows) == BetaTable._row.cache_info().misses
+        assert len(messages) == 8
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="permsphere.enumeration"):
             assert pipeline_ball(L1, 10, 6) == 286
