@@ -21,7 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
-from operator import getitem
+from operator import add, getitem
 from typing import Callable, Iterable
 
 from .metrics import KENDALL, MetricId, distance_to_identity
@@ -65,20 +65,73 @@ def check_cap(n: int) -> None:
 # Every walker stops the prefix walk at depth ``split`` and finishes each
 # node from a suffix list: the distances of the last k positions, one entry
 # per arrangement of the k values in ``rem`` (k! entries, each a
-# permutation of its own). A node with prefix distance d tallies d + t for
-# every entry t, so every permutation is still a leaf exactly once, at its
-# own distance. The l1, lp, Hamming and linf lists depend on ``rem``, so
-# they are built on first use and dropped with the sweep; Kendall and
-# Cayley share one list per sweep, the distances of S_k itself. No list is
-# ever a histogram, which would merge permutations at equal distance.
+# permutation of its own). A node with prefix distance d tallies d + t
+# (max(d, t) for linf) for every entry t, so every permutation is still a
+# leaf exactly once, at its own distance. The l1, lp, Hamming and linf lists
+# depend on ``rem``, so they are built on first use and dropped with the
+# sweep; Kendall and Cayley share one list per sweep, the distances of S_k
+# itself. No list is ever a histogram, which would merge permutations at
+# equal distance.
+#
+# When every suffix distance a sweep allows lies below _BYTES_BELOW, its
+# suffix lists are bytes, one byte per arrangement, and a _Tally counts
+# them in C: each node queues its list under its prefix distance, and a
+# flush joins each queue and counts every suffix value that occurs with
+# bytes.count. That is one pass per value, where a Python loop takes one
+# step per entry. Lists are never deduplicated and counts never multiplied
+# by the nodes sharing a list, so the count still runs over one entry per
+# permutation. Other sweeps (lp with p >= 2) keep the loop over entries.
 
 # A position histogram longer than this (lp with a large p) is a dict.
 _LIST_HISTOGRAM_LIMIT = 1 << 20
+# Suffix lists are bytes when the sweep's suffix distances all lie below this.
+_BYTES_BELOW = 64
+# Queued byte suffix lists are counted once they hold this many bytes.
+_FLUSH_BYTES = 1 << 20
 
 
 def _nonzero(hist) -> dict[int, int]:
     pairs = hist.items() if isinstance(hist, dict) else enumerate(hist)
     return {d: c for d, c in pairs if c}
+
+
+class _Tally:
+    """The leaves of one sweep, by distance.
+
+    ``values`` is None on the entries path, where the walker adds each
+    suffix entry to ``hist`` itself. On the bytes path it is the set of
+    suffix distances that occur, and ``add`` queues a node's byte list
+    under its prefix distance d; a flush adds ``data.count(t)`` to
+    ``hist[fold(d, t)]`` for each t, where ``data`` joins d's queue."""
+
+    def __init__(self, top: int, fold: Callable[[int, int], int], values: set[int] | None):
+        self.hist = [0] * (top + 1) if top < _LIST_HISTOGRAM_LIMIT else defaultdict(int)
+        self.fold = fold
+        self.values = values
+        self.waiting: defaultdict[int, list[bytes]] = defaultdict(list)
+        self.size = self.flushes = 0
+
+    def add(self, d: int, data: bytes) -> None:
+        self.waiting[d].append(data)
+        self.size += len(data)
+        if self.size >= _FLUSH_BYTES:
+            self.flush()
+
+    def flush(self) -> None:
+        hist, fold, values = self.hist, self.fold, self.values
+        for d, lists in self.waiting.items():
+            data = b"".join(lists)
+            for t in values:
+                hist[fold(d, t)] += data.count(t)
+        self.waiting.clear()
+        self.size = 0
+        self.flushes += 1
+
+    def counts(self) -> dict[int, int]:
+        """Flush what still waits; the nonzero counts by distance."""
+        if self.waiting:
+            self.flush()
+        return _nonzero(self.hist)
 
 
 def _split(n: int) -> int:
@@ -99,58 +152,73 @@ class _SuffixCosts(dict):
     """rem -> its suffix list, built on first lookup: for each arrangement
     of ``rem`` over the positions of the cost ``rows`` (the last k), in
     ``itertools.permutations`` order, the ``fold`` (sum, or max for linf)
-    of its position costs."""
+    of its position costs. The lists are bytes when the fold of the row
+    maxima lies below _BYTES_BELOW, and ``values`` then collects the
+    distances that occur; otherwise they are lists and ``values`` is None."""
 
     def __init__(self, rows: list[list[int]], fold: Callable[[Iterable[int]], int]):
         super().__init__()
         self.rows = rows
         self.fold = fold
+        self.values: set[int] | None = set() if fold(map(max, rows)) < _BYTES_BELOW else None
 
-    def __missing__(self, rem: tuple[int, ...]) -> list[int]:
+    def __missing__(self, rem: tuple[int, ...]) -> bytes | list[int]:
         rows, fold = self.rows, self.fold
-        costs = self[rem] = [fold(map(getitem, rows, arr)) for arr in permutations(rem)]
+        costs = [fold(map(getitem, rows, arr)) for arr in permutations(rem)]
+        if self.values is not None:
+            self.values.update(costs)
+            costs = bytes(costs)
+        self[rem] = costs
         return costs
 
 
-def _group_suffix(metric: MetricId, k: int) -> list[int]:
+def _group_suffix(metric: MetricId, k: int) -> bytes | list[int]:
     """The distance of every permutation of S_k, in ``itertools.permutations``
     order: the suffix list of the Kendall and Cayley walkers, which is the
-    same for every node at ``split``."""
-    return [distance_to_identity(metric, Permutation(w)) for w in permutations(range(1, k + 1))]
+    same for every node at ``split``; bytes when all lie below _BYTES_BELOW."""
+    dists = [distance_to_identity(metric, Permutation(w)) for w in permutations(range(1, k + 1))]
+    return bytes(dists) if max(dists) < _BYTES_BELOW else dists
 
 
-def _walk_sum(metric: MetricId, n: int) -> dict[int, int]:
+def _walk_sum(metric: MetricId, n: int) -> _Tally:
     """l1, lp and Hamming: placing v at position i adds cost[i][v]."""
     cost = _position_costs(metric, n)
-    top = sum(map(max, cost))
-    hist = [0] * (top + 1) if top < _LIST_HISTOGRAM_LIMIT else defaultdict(int)
     split = _split(n)
     suffix = _SuffixCosts(cost[split:], sum)
+    tally = _Tally(sum(map(max, cost)), add, suffix.values)
+    hist, packed = tally.hist, suffix.values is not None
 
     def walk(i: int, d: int, rem: tuple[int, ...]) -> None:
         if i == split:
-            for t in suffix[rem]:
-                hist[d + t] += 1
+            if packed:
+                tally.add(d, suffix[rem])
+            else:
+                for t in suffix[rem]:
+                    hist[d + t] += 1
             return
         ci = cost[i]
         for j, v in enumerate(rem):
             walk(i + 1, d + ci[v], rem[:j] + rem[j + 1 :])
 
     walk(0, 0, tuple(range(n)))
-    return _nonzero(hist)
+    return tally
 
 
-def _walk_max(metric: MetricId, n: int) -> dict[int, int]:
+def _walk_max(metric: MetricId, n: int) -> _Tally:
     """linf: placing v at position i raises the running max to |v - i|."""
     cost = _position_costs(metric, n)
-    hist = [0] * n
     split = _split(n)
     suffix = _SuffixCosts(cost[split:], max)
+    tally = _Tally(n - 1, max, suffix.values)
+    hist, packed = tally.hist, suffix.values is not None
 
     def walk(i: int, d: int, rem: tuple[int, ...]) -> None:
         if i == split:
-            for t in suffix[rem]:
-                hist[t if t > d else d] += 1
+            if packed:
+                tally.add(d, suffix[rem])
+            else:
+                for t in suffix[rem]:
+                    hist[t if t > d else d] += 1
             return
         ci = cost[i]
         for j, v in enumerate(rem):
@@ -158,32 +226,37 @@ def _walk_max(metric: MetricId, n: int) -> dict[int, int]:
             walk(i + 1, c if c > d else d, rem[:j] + rem[j + 1 :])
 
     walk(0, 0, tuple(range(n)))
-    return _nonzero(hist)
+    return tally
 
 
-def _walk_kendall(metric: MetricId, n: int) -> dict[int, int]:
+def _walk_kendall(metric: MetricId, n: int) -> _Tally:
     """Kendall: placing the j-th smallest unplaced value opens j inversions,
     one with each smaller value still to come. Only how many values remain
     matters, so the walk runs over the inversion tables (Lehmer codes)
     c_i in 0..n-1-i, which list S_n once each, and every node at ``split``
     shares one suffix list."""
-    hist = [0] * (n * (n - 1) // 2 + 1)
     split = _split(n)
     suffix = _group_suffix(metric, n - split)
+    packed = isinstance(suffix, bytes)
+    tally = _Tally(n * (n - 1) // 2, add, set(suffix) if packed else None)
+    hist = tally.hist
 
     def walk(i: int, d: int) -> None:
         if i == split:
-            for t in suffix:
-                hist[d + t] += 1
+            if packed:
+                tally.add(d, suffix)
+            else:
+                for t in suffix:
+                    hist[d + t] += 1
             return
         for j in range(n - i):
             walk(i + 1, d + j)
 
     walk(0, 0)
-    return _nonzero(hist)
+    return tally
 
 
-def _walk_cayley(metric: MetricId, n: int) -> dict[int, int]:
+def _walk_cayley(metric: MetricId, n: int) -> _Tally:
     """Cayley: the placed edges i -> w(i) form disjoint paths and cycles,
     and the distance is n minus the number of cycles. Placing v at
     position i closes a cycle (step 0) when v starts the path that ends at
@@ -193,16 +266,21 @@ def _walk_cayley(metric: MetricId, n: int) -> dict[int, int]:
     open position, so an arrangement a of ``rem`` closes them into the
     cycles of p -> end[a(p)]. As a runs over every arrangement, that map
     runs over S_k once each, so every node shares one suffix list."""
-    hist = [0] * n
     start = list(range(n))  # start[e]: the first vertex of the path ending at e
     end = list(range(n))  # end[s]: the last vertex of the path starting at s
     split = _split(n)
     suffix = _group_suffix(metric, n - split)
+    packed = isinstance(suffix, bytes)
+    tally = _Tally(n - 1, add, set(suffix) if packed else None)
+    hist = tally.hist
 
     def walk(i: int, d: int, rem: tuple[int, ...]) -> None:
         if i == split:
-            for t in suffix:
-                hist[d + t] += 1
+            if packed:
+                tally.add(d, suffix)
+            else:
+                for t in suffix:
+                    hist[d + t] += 1
             return
         s = start[i]
         for j, v in enumerate(rem):
@@ -216,7 +294,7 @@ def _walk_cayley(metric: MetricId, n: int) -> dict[int, int]:
             start[e], end[s] = v, i
 
     walk(0, 0, tuple(range(n)))
-    return _nonzero(hist)
+    return tally
 
 
 _WALKS = {
@@ -235,11 +313,14 @@ def _sweep_group(metric: MetricId, n: int) -> dict[int, int]:
     if n > _COMFORT_DEGREE:
         log.warning("enumerating S_%d (%d permutations); this may take a while", n, perms)
     began = time.perf_counter()
-    hist = _WALKS[metric.kind](metric, n)
+    tally = _WALKS[metric.kind](metric, n)
+    hist = tally.counts()
     seconds = time.perf_counter() - began
     log.debug(
-        "oracle sweep of S_%d under %s: %d permutations in %.3f s (%.0f per second)",
+        "oracle sweep of S_%d under %s: %d permutations in %.3f s (%.0f per second), "
+        "%s tally, %d flushes",
         n, metric.name, perms, seconds, perms / max(seconds, 1e-9),
+        "entries" if tally.values is None else "bytes", tally.flushes,
     )
     return hist
 

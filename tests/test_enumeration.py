@@ -19,6 +19,7 @@ from permsphere import (
     pipeline_ball,
     pipeline_sphere,
 )
+from permsphere import enumeration
 from permsphere.enumeration import (
     EnumerationCapError,
     _group_suffix,
@@ -52,6 +53,21 @@ from helpers import (
 # OEIS A003319: connected (indecomposable) permutations of S_m, m = 2..15.
 A003319 = [1, 3, 13, 71, 461, 3447, 29093, 273343, 2829325, 31998903, 392743957,
            5201061455, 73943424413, 1123596277863]
+
+# Every oracle metric with its whole-word distance.
+SWEEP_METRICS = [
+    ("l1", word_l1), ("lp:2", word_lp(2)), ("lp:3", word_lp(3)), ("lp:40", word_lp(40)),
+    ("linf", word_linf), ("hamming", word_hamming), ("cayley", word_cayley),
+    ("kendall", word_inversions),
+]
+
+
+@pytest.fixture
+def fresh_sweeps():
+    """Sweep afresh, and keep no sweep made under patched settings."""
+    enumeration._sweep_group.cache_clear()
+    yield
+    enumeration._sweep_group.cache_clear()
 
 
 class TestOracle:
@@ -93,13 +109,51 @@ class TestOracle:
     # positions: at n = 1 the whole word is one suffix, and n = 8 splits
     # 4 + 4. lp:40 distances are too large for a list histogram.
     @pytest.mark.parametrize("n", range(1, 9))
-    @pytest.mark.parametrize("name, dist", [
-        ("l1", word_l1), ("lp:2", word_lp(2)), ("lp:3", word_lp(3)), ("lp:40", word_lp(40)),
-        ("linf", word_linf), ("hamming", word_hamming), ("cayley", word_cayley),
-        ("kendall", word_inversions),
-    ])
+    @pytest.mark.parametrize("name, dist", SWEEP_METRICS)
     def test_sweep_equals_whole_word_count(self, name, dist, n):
         assert group_histogram(MetricId.parse(name), n) == word_histogram(dist, n)
+
+    # A flush size of one byte flushes at every node, so each group holds
+    # one list when it is counted.
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("name, dist", SWEEP_METRICS)
+    def test_sweep_flushing_at_every_node_equals_whole_word_count(
+        self, name, dist, n, fresh_sweeps, monkeypatch
+    ):
+        monkeypatch.setattr(enumeration, "_FLUSH_BYTES", 1)
+        assert group_histogram(MetricId.parse(name), n) == word_histogram(dist, n)
+
+    # Every suffix distance of these sweeps lies below _BYTES_BELOW, so they
+    # count byte suffix lists; at a bound of 0 they loop over the entries.
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("name", ["l1", "hamming", "linf", "kendall", "cayley"])
+    def test_byte_path_equals_the_entries_loop(self, name, n, fresh_sweeps, monkeypatch, caplog):
+        metric = MetricId.parse(name)
+        with caplog.at_level(logging.DEBUG, logger="permsphere.enumeration"):
+            packed = group_histogram(metric, n)
+            monkeypatch.setattr(enumeration, "_BYTES_BELOW", 0)
+            enumeration._sweep_group.cache_clear()
+            assert group_histogram(metric, n) == packed
+        paths = [r.getMessage().rsplit(", ", 2)[1] for r in caplog.records]
+        assert paths == ["bytes tally", "entries tally"]
+
+    # The debug line names the tally path and counts the flushes: a byte
+    # sweep flushes once at the end, or at every node (n! / k! of them) when
+    # each list fills the flush size; lp:40's distances take the entries loop.
+    @pytest.mark.parametrize("name, n, flush_bytes, tail", [
+        ("l1", 5, 1 << 20, "bytes tally, 1 flushes"),
+        ("l1", 5, 1, "bytes tally, 60 flushes"),
+        ("kendall", 8, 1 << 20, "bytes tally, 1 flushes"),
+        ("kendall", 8, 24 * 100, "bytes tally, 17 flushes"),
+        ("lp:40", 5, 1, "entries tally, 0 flushes"),
+    ])
+    def test_debug_line_reports_the_tally(self, name, n, flush_bytes, tail, fresh_sweeps, monkeypatch, caplog):
+        monkeypatch.setattr(enumeration, "_FLUSH_BYTES", flush_bytes)
+        with caplog.at_level(logging.DEBUG, logger="permsphere.enumeration"):
+            group_histogram(MetricId.parse(name), n)
+        [message] = [r.getMessage() for r in caplog.records]
+        assert message.startswith(f"oracle sweep of S_{n} under {name}: ")
+        assert message.endswith(tail)
 
     # Each suffix list holds one distance per arrangement of the remaining
     # values, never a histogram, so a sweep tallies each permutation once.
@@ -118,7 +172,7 @@ class TestOracle:
                 for arr in itertools.permutations(rem)
             ]
             assert len(suffix[rem]) == math.factorial(k)
-            assert suffix[rem] == expected
+            assert list(suffix[rem]) == expected
         assert len(suffix) == math.comb(n, k)
 
     # Kendall and Cayley finish every node from one list, the distances of
@@ -129,7 +183,7 @@ class TestOracle:
     )
     def test_group_suffix_lists_the_distances_of_s_k(self, name, dist, k):
         expected = [dist(w) for w in words(k)]
-        assert _group_suffix(MetricId(name), k) == expected
+        assert list(_group_suffix(MetricId(name), k)) == expected
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_kendall_is_mahonian(self, n):
