@@ -19,7 +19,7 @@ import math
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import permutations
 from operator import add, getitem
 from typing import Callable, Iterable
@@ -73,19 +73,20 @@ def check_cap(n: int) -> None:
 # itself. No list is ever a histogram, which would merge permutations at
 # equal distance.
 #
-# When every suffix distance a sweep allows lies below _BYTES_BELOW, its
-# suffix lists are bytes, one byte per arrangement, and a _Tally counts
-# them in C: each node queues its list under its prefix distance, and a
-# flush joins each queue and counts every suffix value that occurs with
-# bytes.count. That is one pass per value, where a Python loop takes one
-# step per entry. Lists are never deduplicated and counts never multiplied
-# by the nodes sharing a list, so the count still runs over one entry per
-# permutation. Other sweeps (lp with p >= 2) keep the loop over entries.
+# The suffix lists are bytes, one byte per arrangement (bytes() refuses a
+# distance above 255, which no sweep under the cap reaches), and a _Tally
+# counts them in C: each node queues its list under its prefix distance,
+# and a flush joins each queue and counts every suffix value that occurs
+# with bytes.count. That is one pass per value, where a Python loop takes
+# one step per entry. Lists are never deduplicated and counts never
+# multiplied by the nodes sharing a list, so the count still runs over one
+# entry per permutation. lp with p >= 2 keeps the loop over entries: its
+# suffix lists hold many distinct values (33 at lp:2 S_6, 179 at S_10),
+# and its byte path was 1.3 to 2.5 times slower at every size measured
+# (BENCH_oracle.json, "tally_paths").
 
 # A position histogram longer than this (lp with a large p) is a dict.
 _LIST_HISTOGRAM_LIMIT = 1 << 20
-# Suffix lists are bytes when the sweep's suffix distances all lie below this.
-_BYTES_BELOW = 64
 # Queued byte suffix lists are counted once they hold this many bytes.
 _FLUSH_BYTES = 1 << 20
 
@@ -152,15 +153,17 @@ class _SuffixCosts(dict):
     """rem -> its suffix list, built on first lookup: for each arrangement
     of ``rem`` over the positions of the cost ``rows`` (the last k), in
     ``itertools.permutations`` order, the ``fold`` (sum, or max for linf)
-    of its position costs. The lists are bytes when the fold of the row
-    maxima lies below _BYTES_BELOW, and ``values`` then collects the
-    distances that occur; otherwise they are lists and ``values`` is None."""
+    of its position costs. When ``packed`` the lists are bytes, and
+    ``values`` collects the distances that occur; otherwise they are
+    lists and ``values`` is None."""
 
-    def __init__(self, rows: list[list[int]], fold: Callable[[Iterable[int]], int]):
+    def __init__(
+        self, rows: list[list[int]], fold: Callable[[Iterable[int]], int], packed: bool = False
+    ):
         super().__init__()
         self.rows = rows
         self.fold = fold
-        self.values: set[int] | None = set() if fold(map(max, rows)) < _BYTES_BELOW else None
+        self.values: set[int] | None = set() if packed else None
 
     def __missing__(self, rem: tuple[int, ...]) -> bytes | list[int]:
         rows, fold = self.rows, self.fold
@@ -172,21 +175,22 @@ class _SuffixCosts(dict):
         return costs
 
 
-def _group_suffix(metric: MetricId, k: int) -> bytes | list[int]:
+def _group_suffix(metric: MetricId, k: int) -> bytes:
     """The distance of every permutation of S_k, in ``itertools.permutations``
     order: the suffix list of the Kendall and Cayley walkers, which is the
-    same for every node at ``split``; bytes when all lie below _BYTES_BELOW."""
-    dists = [distance_to_identity(metric, Permutation(w)) for w in permutations(range(1, k + 1))]
-    return bytes(dists) if max(dists) < _BYTES_BELOW else dists
+    same for every node at ``split``."""
+    return bytes(distance_to_identity(metric, Permutation(w)) for w in permutations(range(1, k + 1)))
 
 
-def _walk_sum(metric: MetricId, n: int) -> _Tally:
-    """l1, lp and Hamming: placing v at position i adds cost[i][v]."""
+def _walk_sum(metric: MetricId, n: int, packed: bool = True) -> _Tally:
+    """l1, lp and Hamming: placing v at position i adds cost[i][v]. The
+    suffix lists are bytes when ``packed``; otherwise the walk loops over
+    their entries."""
     cost = _position_costs(metric, n)
     split = _split(n)
-    suffix = _SuffixCosts(cost[split:], sum)
+    suffix = _SuffixCosts(cost[split:], sum, packed)
     tally = _Tally(sum(map(max, cost)), add, suffix.values)
-    hist, packed = tally.hist, suffix.values is not None
+    hist = tally.hist
 
     def walk(i: int, d: int, rem: tuple[int, ...]) -> None:
         if i == split:
@@ -208,17 +212,12 @@ def _walk_max(metric: MetricId, n: int) -> _Tally:
     """linf: placing v at position i raises the running max to |v - i|."""
     cost = _position_costs(metric, n)
     split = _split(n)
-    suffix = _SuffixCosts(cost[split:], max)
+    suffix = _SuffixCosts(cost[split:], max, True)
     tally = _Tally(n - 1, max, suffix.values)
-    hist, packed = tally.hist, suffix.values is not None
 
     def walk(i: int, d: int, rem: tuple[int, ...]) -> None:
         if i == split:
-            if packed:
-                tally.add(d, suffix[rem])
-            else:
-                for t in suffix[rem]:
-                    hist[t if t > d else d] += 1
+            tally.add(d, suffix[rem])
             return
         ci = cost[i]
         for j, v in enumerate(rem):
@@ -237,17 +236,11 @@ def _walk_kendall(metric: MetricId, n: int) -> _Tally:
     shares one suffix list."""
     split = _split(n)
     suffix = _group_suffix(metric, n - split)
-    packed = isinstance(suffix, bytes)
-    tally = _Tally(n * (n - 1) // 2, add, set(suffix) if packed else None)
-    hist = tally.hist
+    tally = _Tally(n * (n - 1) // 2, add, set(suffix))
 
     def walk(i: int, d: int) -> None:
         if i == split:
-            if packed:
-                tally.add(d, suffix)
-            else:
-                for t in suffix:
-                    hist[d + t] += 1
+            tally.add(d, suffix)
             return
         for j in range(n - i):
             walk(i + 1, d + j)
@@ -270,17 +263,11 @@ def _walk_cayley(metric: MetricId, n: int) -> _Tally:
     end = list(range(n))  # end[s]: the last vertex of the path starting at s
     split = _split(n)
     suffix = _group_suffix(metric, n - split)
-    packed = isinstance(suffix, bytes)
-    tally = _Tally(n - 1, add, set(suffix) if packed else None)
-    hist = tally.hist
+    tally = _Tally(n - 1, add, set(suffix))
 
     def walk(i: int, d: int, rem: tuple[int, ...]) -> None:
         if i == split:
-            if packed:
-                tally.add(d, suffix)
-            else:
-                for t in suffix:
-                    hist[d + t] += 1
+            tally.add(d, suffix)
             return
         s = start[i]
         for j, v in enumerate(rem):
@@ -297,9 +284,10 @@ def _walk_cayley(metric: MetricId, n: int) -> _Tally:
     return tally
 
 
+# lp with p >= 2 loops over its suffix entries; see the note on byte lists.
 _WALKS = {
     "l1": _walk_sum,
-    "lp": _walk_sum,
+    "lp": partial(_walk_sum, packed=False),
     "hamming": _walk_sum,
     "linf": _walk_max,
     "kendall": _walk_kendall,
