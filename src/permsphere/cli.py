@@ -180,7 +180,9 @@ def cmd_verify(args) -> int:
 _SHARED_OPTIONS = (
     ("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
     ("--max-enum-degree", {
-        "type": int, "default": None, "help": "largest symmetric group the oracle enumerates",
+        "type": int, "default": enumeration.DEFAULT_MAX_DEGREE,
+        "help": "largest symmetric group the oracle enumerates "
+        f"(default {enumeration.DEFAULT_MAX_DEGREE})",
     }),
     ("--log-level", {
         "choices": ("debug", "info", "warning", "error"), "default": "warning",
@@ -246,12 +248,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # bare messages, as Python prints a warning when logging is not configured
     logging.basicConfig(level=args.log_level.upper(), format="%(message)s")
-    if args.max_enum_degree is not None:
-        try:
-            enumeration.set_max_degree(args.max_enum_degree)
-        except ValueError as exc:
-            print(f"error: --max-enum-degree: {exc}", file=sys.stderr)
-            return 1
+    # set on every call, so no cap outlives the call that asked for it
+    try:
+        enumeration.set_max_degree(args.max_enum_degree)
+    except ValueError as exc:
+        print(f"error: --max-enum-degree: {exc}", file=sys.stderr)
+        return 1
     return args.fn(args)
 
 

@@ -2,8 +2,9 @@
 
 Two independent counting paths live here:
 
-* the brute-force oracle, which walks all of S_n depth first, carrying the
-  distance of each prefix, and tallies the distance of every permutation,
+* the brute-force oracle, which visits all of S_n, each permutation as a
+  head of its first positions paired with a suffix of the rest, and
+  tallies the distance of every permutation,
 * the pipeline, which counts connected parts in polynomial time, combines
   them through the composition convolution and weighs each (m, q) cell by
   the binomial [n+q-m choose q]; a query evaluates the cells it builds as
@@ -20,8 +21,8 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import permutations
-from operator import add, getitem
+from itertools import combinations, permutations, product
+from operator import getitem
 from typing import Callable, Iterable
 
 from .metrics import KENDALL, MetricId, distance_to_identity
@@ -56,39 +57,35 @@ def check_cap(n: int) -> None:
 
 # -- the oracle's sweep (cached) ------------------------------------------
 #
-# Each walker visits S_n depth first, one position at a time, carrying the
-# distance of the placed prefix. Positions and values run over 0..n-1, and
-# ``rem`` is the sorted tuple of values still unplaced. There is one walker
-# per step rule, because a generic per-node callback makes the walk about
-# six times slower (l1, S_10).
-#
-# Every walker stops the prefix walk at depth ``split`` and finishes each
-# node from a suffix list: the distances of the last k positions, one entry
-# per arrangement of the k values in ``rem`` (k! entries, each a
-# permutation of its own). A node with prefix distance d tallies d + t
-# (max(d, t) for linf) for every entry t, so every permutation is still a
-# leaf exactly once, at its own distance. The l1, lp, Hamming and linf lists
-# depend on ``rem``, so they are built on first use and dropped with the
-# sweep; Kendall and Cayley share one list per sweep, the distances of S_k
-# itself. No list is ever a histogram, which would merge permutations at
-# equal distance.
+# Positions and values run over 0..n-1. Every sweep splits each permutation
+# at ``split`` into a head, the first positions, and a suffix, the last k,
+# and pairs each head of a value set with each suffix of the other values:
+# every permutation is one head entry paired with one suffix entry, tallied
+# at d + t (max(d, t) for linf) for head distance d and suffix distance t.
+# The l1, lp, Hamming and linf lists fold the position costs of each
+# arrangement (sum, or max for linf), one list of heads and one of
+# suffixes per value set. Kendall heads are Lehmer codes; Kendall and
+# Cayley suffixes are one list per sweep, the distances of S_k itself. No
+# list is ever deduplicated or a histogram, which would merge permutations
+# at equal distance.
 #
 # The suffix lists are bytes, one byte per arrangement (bytes() refuses a
 # distance above 255, which no sweep under the cap reaches), and a _Tally
-# counts them in C: each node queues its list under its prefix distance,
+# counts them in C: each head queues its suffix list under its distance d,
 # and a flush joins each queue and counts every suffix value that occurs
 # with bytes.count. That is one pass per value, where a Python loop takes
-# one step per entry. Lists are never deduplicated and counts never
-# multiplied by the nodes sharing a list, so the count still runs over one
-# entry per permutation. lp with p >= 2 keeps the loop over entries: its
-# suffix lists hold many distinct values (33 at lp:2 S_6, 179 at S_10),
-# and its byte path was 1.3 to 2.5 times slower at every size measured
-# (BENCH_oracle.json, "tally_paths").
+# one step per entry. Counts are never multiplied by the heads sharing a
+# list, so the count still runs over one entry per permutation. lp with
+# p >= 2 keeps the loop over entries: its suffix lists hold many distinct
+# values (33 at lp:2 S_6, 179 at S_10), and its byte path was 1.3 to 2.5
+# times slower at every size measured (BENCH_oracle.json, "tally_paths").
 
 # A position histogram longer than this (lp with a large p) is a dict.
 _LIST_HISTOGRAM_LIMIT = 1 << 20
 # Queued byte suffix lists are counted once they hold this many bytes.
 _FLUSH_BYTES = 1 << 20
+
+Fold = Callable[[Iterable[int]], int]
 
 
 def _nonzero(hist) -> dict[int, int]:
@@ -101,11 +98,11 @@ class _Tally:
 
     ``values`` is None on the entries path, where the walker adds each
     suffix entry to ``hist`` itself. On the bytes path it is the set of
-    suffix distances that occur, and ``add`` queues a node's byte list
-    under its prefix distance d; a flush adds ``data.count(t)`` to
-    ``hist[fold(d, t)]`` for each t, where ``data`` joins d's queue."""
+    suffix distances that occur, and ``add`` queues a head's byte list
+    under the head distance d; a flush adds ``data.count(t)`` to
+    ``hist[fold((d, t))]`` for each t, where ``data`` joins d's queue."""
 
-    def __init__(self, top: int, fold: Callable[[int, int], int], values: set[int] | None):
+    def __init__(self, top: int, fold: Fold, values: set[int] | None):
         self.hist = [0] * (top + 1) if top < _LIST_HISTOGRAM_LIMIT else defaultdict(int)
         self.fold = fold
         self.values = values
@@ -123,7 +120,7 @@ class _Tally:
         for d, lists in self.waiting.items():
             data = b"".join(lists)
             for t in values:
-                hist[fold(d, t)] += data.count(t)
+                hist[fold((d, t))] += data.count(t)
         self.waiting.clear()
         self.size = 0
         self.flushes += 1
@@ -136,8 +133,8 @@ class _Tally:
 
 
 def _split(n: int) -> int:
-    """Depth where the prefix walk ends: the last n // 2 positions, and at
-    least one, come from a suffix list (k = 5 of 10, 4 of 9)."""
+    """Length of the head: the last n // 2 positions, and at least one,
+    form the suffix (k = 5 of 10, 4 of 9)."""
     return n - max(1, n // 2)
 
 
@@ -149,103 +146,59 @@ def _position_costs(metric: MetricId, n: int) -> list[list[int]]:
     return [[abs(v - i) ** p for v in range(n)] for i in range(n)]
 
 
-class _SuffixCosts(dict):
-    """rem -> its suffix list, built on first lookup: for each arrangement
-    of ``rem`` over the positions of the cost ``rows`` (the last k), in
-    ``itertools.permutations`` order, the ``fold`` (sum, or max for linf)
-    of its position costs. When ``packed`` the lists are bytes, and
-    ``values`` collects the distances that occur; otherwise they are
-    lists and ``values`` is None."""
-
-    def __init__(
-        self, rows: list[list[int]], fold: Callable[[Iterable[int]], int], packed: bool = False
-    ):
-        super().__init__()
-        self.rows = rows
-        self.fold = fold
-        self.values: set[int] | None = set() if packed else None
-
-    def __missing__(self, rem: tuple[int, ...]) -> bytes | list[int]:
-        rows, fold = self.rows, self.fold
-        costs = [fold(map(getitem, rows, arr)) for arr in permutations(rem)]
-        if self.values is not None:
-            self.values.update(costs)
-            costs = bytes(costs)
-        self[rem] = costs
-        return costs
+def _cost_list(rows: list[list[int]], values: Iterable[int], fold: Fold) -> list[int]:
+    """For each arrangement of ``values`` over the positions of the cost
+    ``rows``, in ``itertools.permutations`` order, the ``fold`` of its
+    position costs; no rows (the head at n = 1) cost nothing."""
+    if not rows:
+        return [0]
+    return [fold(map(getitem, rows, arr)) for arr in permutations(values)]
 
 
 def _group_suffix(metric: MetricId, k: int) -> bytes:
     """The distance of every permutation of S_k, in ``itertools.permutations``
-    order: the suffix list of the Kendall and Cayley walkers, which is the
-    same for every node at ``split``."""
+    order: the suffix list of the Kendall and Cayley sweeps, which is the
+    same for every head."""
     return bytes(distance_to_identity(metric, Permutation(w)) for w in permutations(range(1, k + 1)))
 
 
-def _walk_sum(metric: MetricId, n: int, packed: bool = True) -> _Tally:
-    """l1, lp and Hamming: placing v at position i adds cost[i][v]. The
-    suffix lists are bytes when ``packed``; otherwise the walk loops over
-    their entries."""
+def _walk_costs(metric: MetricId, n: int, packed: bool = True) -> _Tally:
+    """l1, lp, Hamming and linf: value v at position i costs cost[i][v],
+    and the distance folds the costs, by sum (max for linf). The suffix
+    lists are bytes when ``packed``; otherwise the sweep adds d + t entry
+    by entry, which serves the sum metrics only."""
     cost = _position_costs(metric, n)
+    fold = max if metric.kind == "linf" else sum
     split = _split(n)
-    suffix = _SuffixCosts(cost[split:], sum, packed)
-    tally = _Tally(sum(map(max, cost)), add, suffix.values)
+    head_rows, suffix_rows = cost[:split], cost[split:]
+    tally = _Tally(fold(map(max, cost)), fold, set() if packed else None)
     hist = tally.hist
-
-    def walk(i: int, d: int, rem: tuple[int, ...]) -> None:
-        if i == split:
-            if packed:
-                tally.add(d, suffix[rem])
-            else:
-                for t in suffix[rem]:
+    for placed in combinations(range(n), split):
+        heads = _cost_list(head_rows, placed, fold)
+        suffix = _cost_list(suffix_rows, [v for v in range(n) if v not in placed], fold)
+        if packed:
+            tally.values.update(suffix)
+            suffix = bytes(suffix)
+            for d in heads:
+                tally.add(d, suffix)
+        else:
+            for d in heads:
+                for t in suffix:
                     hist[d + t] += 1
-            return
-        ci = cost[i]
-        for j, v in enumerate(rem):
-            walk(i + 1, d + ci[v], rem[:j] + rem[j + 1 :])
-
-    walk(0, 0, tuple(range(n)))
-    return tally
-
-
-def _walk_max(metric: MetricId, n: int) -> _Tally:
-    """linf: placing v at position i raises the running max to |v - i|."""
-    cost = _position_costs(metric, n)
-    split = _split(n)
-    suffix = _SuffixCosts(cost[split:], max, True)
-    tally = _Tally(n - 1, max, suffix.values)
-
-    def walk(i: int, d: int, rem: tuple[int, ...]) -> None:
-        if i == split:
-            tally.add(d, suffix[rem])
-            return
-        ci = cost[i]
-        for j, v in enumerate(rem):
-            c = ci[v]
-            walk(i + 1, c if c > d else d, rem[:j] + rem[j + 1 :])
-
-    walk(0, 0, tuple(range(n)))
     return tally
 
 
 def _walk_kendall(metric: MetricId, n: int) -> _Tally:
-    """Kendall: placing the j-th smallest unplaced value opens j inversions,
-    one with each smaller value still to come. Only how many values remain
-    matters, so the walk runs over the inversion tables (Lehmer codes)
-    c_i in 0..n-1-i, which list S_n once each, and every node at ``split``
-    shares one suffix list."""
+    """Kendall: the inversion tables (Lehmer codes) c_i in 0..n-1-i list
+    S_n once each, and a permutation has sum(c) inversions. Placing the
+    j-th smallest unplaced value opens j inversions, one with each smaller
+    value still to come, so the head codes c_0..c_(split-1) sum to the
+    head's inversions and every head shares one suffix list."""
     split = _split(n)
     suffix = _group_suffix(metric, n - split)
-    tally = _Tally(n * (n - 1) // 2, add, set(suffix))
-
-    def walk(i: int, d: int) -> None:
-        if i == split:
-            tally.add(d, suffix)
-            return
-        for j in range(n - i):
-            walk(i + 1, d + j)
-
-    walk(0, 0)
+    tally = _Tally(n * (n - 1) // 2, sum, set(suffix))
+    for d in map(sum, product(*map(range, range(n, n - split, -1)))):
+        tally.add(d, suffix)
     return tally
 
 
@@ -253,17 +206,18 @@ def _walk_cayley(metric: MetricId, n: int) -> _Tally:
     """Cayley: the placed edges i -> w(i) form disjoint paths and cycles,
     and the distance is n minus the number of cycles. Placing v at
     position i closes a cycle (step 0) when v starts the path that ends at
-    i; otherwise it joins that path to the one starting at v (step 1).
+    i; otherwise it joins that path to the one starting at v (step 1). Each
+    step reads the paths built so far, so the head is walked depth first.
 
     At ``split`` each open path starts at a value in ``rem`` and ends at an
     open position, so an arrangement a of ``rem`` closes them into the
     cycles of p -> end[a(p)]. As a runs over every arrangement, that map
-    runs over S_k once each, so every node shares one suffix list."""
+    runs over S_k once each, so every head shares one suffix list."""
     start = list(range(n))  # start[e]: the first vertex of the path ending at e
     end = list(range(n))  # end[s]: the last vertex of the path starting at s
     split = _split(n)
     suffix = _group_suffix(metric, n - split)
-    tally = _Tally(n - 1, add, set(suffix))
+    tally = _Tally(n - 1, sum, set(suffix))
 
     def walk(i: int, d: int, rem: tuple[int, ...]) -> None:
         if i == split:
@@ -286,10 +240,10 @@ def _walk_cayley(metric: MetricId, n: int) -> _Tally:
 
 # lp with p >= 2 loops over its suffix entries; see the note on byte lists.
 _WALKS = {
-    "l1": _walk_sum,
-    "lp": partial(_walk_sum, packed=False),
-    "hamming": _walk_sum,
-    "linf": _walk_max,
+    "l1": _walk_costs,
+    "lp": partial(_walk_costs, packed=False),
+    "hamming": _walk_costs,
+    "linf": _walk_costs,
     "kendall": _walk_kendall,
     "cayley": _walk_cayley,
 }
@@ -433,6 +387,14 @@ def radius_step(metric: MetricId) -> int:
     return _pipeline(metric)[0]
 
 
+def _widest(step: int, m: int) -> int:
+    """A bound on the distance of a split type of degree m: step * m(m-1)/2.
+    For Kendall that is the most inversions in S_m; for l1 it is m(m-1),
+    which is at least the largest l1 distance in S_m, floor(m^2 / 2), for
+    every m >= 2. Either bound adds up over the parts."""
+    return step * m * (m - 1) // 2
+
+
 def attainable_radii(metric: MetricId, max_radius: int) -> range:
     """The nonzero radii at which spheres can be nonempty, up to max_radius."""
     step = radius_step(metric)
@@ -471,7 +433,8 @@ class BetaTable:
         row: dict[int, int] = {}
         for m1 in range(2, min(m, radius // self.step + 1) + 1):
             hist = connected_histogram(self.metric, m1)
-            for r1 in range(self.step * (m1 - 1), radius + 1, self.step):
+            reach = min(radius, _widest(self.step, m1))
+            for r1 in range(self.step * (m1 - 1), reach + 1, self.step):
                 count = hist.get(r1)
                 if count:
                     for q, rest in self._row(radius - r1, m - m1).items():
@@ -514,7 +477,8 @@ def sphere_terms(metric: MetricId, radius: int, top: int | None = None) -> Terms
         table = beta_table(metric)
         bound = size_bound(metric, radius)
         last = 2 * bound if top is None else min(top, 2 * bound)
-        cells = ((m, q) for q in range(1, bound + 1) for m in range(2 * q, last + 1))
+        # every part has degree >= 2, so q <= m // 2
+        cells = ((m, q) for q in range(1, last // 2 + 1) for m in range(2 * q, last + 1))
         terms = tuple((b, m, q) for m, q in cells if (b := table.beta(radius, m, q)))
     log.debug(
         "sphere terms at radius %d, m <= %s, under %s: %d cells, %d rows built in %.3f s",
@@ -529,6 +493,9 @@ def ball_terms(metric: MetricId, radius: int, top: int | None = None) -> Terms:
     """The terms of the radius-R ball: the sphere terms summed over radii <= R."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    if top is not None:
+        # no split type with m <= top lies farther out
+        radius = min(radius, _widest(radius_step(metric), top))
     acc: dict[tuple[int, int], int] = {}
     for r in (0, *attainable_radii(metric, radius)):
         for c, m, q in sphere_terms(metric, r, top):

@@ -290,11 +290,10 @@ def derangements(j: int) -> int:
     """D_j via the exact recurrence D_j = (j-1)(D_{j-1} + D_{j-2})."""
     if j < 0:
         raise ValueError("j must be nonnegative")
-    if j == 0:
-        return 1
-    if j == 1:
-        return 0
-    return (j - 1) * (derangements(j - 1) + derangements(j - 2))
+    d, before = 1, 0  # D_0; D_1 = 0 * (D_0 + before) whatever before is
+    for i in range(1, j + 1):
+        d, before = (i - 1) * (d + before), d
+    return d
 
 
 def hamming_sphere(n: int, j: int) -> int:

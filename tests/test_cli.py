@@ -84,6 +84,10 @@ class TestSphereBall:
         code, out = run(capsys, "sphere", "--metric", "l1", "--n", "30", "--radius", "26")
         assert code == 0 and out.startswith("pipeline: ")
 
+    def test_ball_at_a_huge_radius_is_the_group(self, capsys):
+        code, out = run(capsys, "ball", "--metric", "l1", "--n", "3", "--radius", "1000000000")
+        assert code == 0 and out == "pipeline: 6\n"
+
 
 class TestBeta:
     def test_single_cell(self, capsys):
@@ -291,6 +295,15 @@ class TestOptions:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == "error: enumerating S_5 exceeds the configured cap of 4\n"
+
+    def test_max_enum_degree_lasts_one_call(self, capsys, monkeypatch):
+        monkeypatch.setattr(enumeration, "_max_degree", enumeration._max_degree)
+        code, out = run(capsys, "--max-enum-degree", "5", "sphere", "--metric", "l1", "--n", "4",
+                        "--radius", "4", "--method", "oracle")
+        assert code == 0 and out == "oracle: 7\n"
+        code, out = run(capsys, "sphere", "--metric", "l1", "--n", "7", "--radius", "4",
+                        "--method", "oracle")
+        assert code == 0 and out == "oracle: 25\n"
 
     def test_log_level_after_subcommand(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -22,10 +22,11 @@ from permsphere import (
 from permsphere import enumeration
 from permsphere.enumeration import (
     EnumerationCapError,
+    _cost_list,
     _group_suffix,
     _position_costs,
     _split,
-    _SuffixCosts,
+    _widest,
     attainable_radii,
     connected_histogram,
     group_histogram,
@@ -123,13 +124,13 @@ class TestOracle:
         monkeypatch.setattr(enumeration, "_FLUSH_BYTES", 1)
         assert group_histogram(MetricId.parse(name), n) == word_histogram(dist, n)
 
-    # _walk_sum gives the same histogram from byte suffix lists as from the
+    # _walk_costs gives the same histogram from byte suffix lists as from the
     # loop over entries; sweeps take bytes for l1 and Hamming, entries for lp.
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("name", ["l1", "hamming", "lp:2"])
     def test_byte_path_equals_the_entries_loop(self, name, n):
         metric = MetricId.parse(name)
-        by_bytes, by_entries = (enumeration._walk_sum(metric, n, packed) for packed in (True, False))
+        by_bytes, by_entries = (enumeration._walk_costs(metric, n, packed) for packed in (True, False))
         assert by_bytes.values is not None and by_entries.values is None
         assert by_bytes.counts() == by_entries.counts() == group_histogram(metric, n)
 
@@ -151,27 +152,40 @@ class TestOracle:
         assert message.startswith(f"oracle sweep of S_{n} under {name}: ")
         assert message.endswith(tail)
 
-    # Each suffix list holds one distance per arrangement of the remaining
-    # values, never a histogram, so a sweep tallies each permutation once.
+    # Each suffix list holds one distance per arrangement of the values left
+    # after the head, never a histogram, and a sweep builds one list per
+    # value set, so it tallies each permutation once.
     @pytest.mark.parametrize("n", [1, 2, 5, 7])
     @pytest.mark.parametrize("name, fold, cost", [
         ("l1", sum, lambda g: g), ("lp:3", sum, lambda g: g**3),
         ("hamming", sum, lambda g: int(g != 0)), ("linf", max, lambda g: g),
     ], ids=["l1", "lp:3", "hamming", "linf"])
-    def test_suffix_lists_hold_every_arrangement_once(self, name, fold, cost, n):
+    def test_suffix_lists_hold_every_arrangement_once(self, name, fold, cost, n, monkeypatch):
+        metric = MetricId.parse(name)
         split = _split(n)
         k = n - split
-        suffix = _SuffixCosts(_position_costs(MetricId.parse(name), n)[split:], fold)
-        for rem in itertools.combinations(range(n), k):
+        suffix_rows = _position_costs(metric, n)[split:]
+        built: list[tuple[tuple[int, ...], list[int]]] = []
+
+        def spy(rows, values, fold):
+            costs = _cost_list(rows, values, fold)
+            if rows == suffix_rows:
+                built.append((tuple(values), costs))
+            return costs
+
+        monkeypatch.setattr(enumeration, "_cost_list", spy)
+        enumeration._WALKS[metric.kind](metric, n)
+        for rem, costs in built:
             expected = [
                 fold(cost(abs(v - i)) for i, v in enumerate(arr, split))
                 for arr in itertools.permutations(rem)
             ]
-            assert len(suffix[rem]) == math.factorial(k)
-            assert list(suffix[rem]) == expected
-        assert len(suffix) == math.comb(n, k)
+            assert len(costs) == math.factorial(k)
+            assert costs == expected
+        # one list per value set, C(n, k) in all
+        assert sorted(rem for rem, _ in built) == list(itertools.combinations(range(n), k))
 
-    # Kendall and Cayley finish every node from one list, the distances of
+    # Kendall and Cayley finish every head from one list, the distances of
     # S_k itself, one entry per permutation (1-based words).
     @pytest.mark.parametrize("k", range(1, 7))
     @pytest.mark.parametrize(
@@ -192,7 +206,8 @@ class TestOracle:
         cycles = stirling_cycles(n)
         assert group_histogram(MetricId("cayley"), n) == {n - k: cycles[k] for k in range(1, n + 1)}
 
-    @pytest.mark.parametrize("n", range(1, 10))
+    # n = 10 is the first size whose suffix lists have 120 entries (k = 5)
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_hamming_is_rencontres(self, n):
         expected = {k: c for k, c in enumerate(rencontres(n)) if c}
         assert group_histogram(HAMMING, n) == expected
@@ -336,6 +351,21 @@ class TestPipeline:
     def test_ball_values(self):
         assert pipeline_ball(L1, 4, 4) == 11
         assert pipeline_ball(L1, 6, 2) == 6
+
+    # no split type of degree m lies beyond _widest(step, m), so a huge
+    # radius walks no further than that
+    def test_huge_radius_with_small_n(self):
+        assert pipeline_ball(L1, 3, 10**9) == 6
+        assert pipeline_sphere(KENDALL, 3, 10**9) == 0
+        assert pipeline_sphere(L1, 3, 10**7) == 0
+        for metric in (L1, KENDALL):
+            for n in range(1, 10):
+                assert pipeline_ball(metric, n, 10**9) == math.factorial(n)
+
+    @pytest.mark.parametrize("metric", [L1, KENDALL], ids=["l1", "kendall"])
+    def test_connected_parts_lie_within_the_widest_split_type(self, metric):
+        for m in range(2, 13):
+            assert max(connected_histogram(metric, m)) <= _widest(radius_step(metric), m)
 
     def test_oracle_equivalence_small(self):
         for n in range(2, 7):

@@ -29,7 +29,7 @@ from permsphere import (
 from permsphere.enumeration import ball_terms, evaluate_terms, expand_terms, sphere_terms
 from permsphere.growth import derangements
 
-from helpers import rational_expansion
+from helpers import rational_expansion, rencontres
 
 
 class TestBinomialPoly:
@@ -288,6 +288,13 @@ class TestSeries:
 class TestHamming:
     def test_derangements(self):
         assert [derangements(j) for j in range(7)] == [1, 0, 1, 2, 9, 44, 265]
+
+    # a cold cache computes D_3000 without recursing 3000 levels deep
+    def test_large_j_with_a_cold_cache(self):
+        derangements.cache_clear()
+        expected = rencontres(3000)
+        assert derangements(3000) == expected[3000]
+        assert hamming_sphere(3000, 1500) == expected[1500]
 
     def test_point_values(self):
         assert hamming_sphere(5, 2) == 10
