@@ -71,14 +71,17 @@ def check_cap(n: int) -> None:
 #
 # The suffix lists are bytes, one byte per arrangement (bytes() refuses a
 # distance above 255, which no sweep under the cap reaches), and a _Tally
-# counts them in C: each head queues its suffix list under its distance d,
-# and a flush joins each queue and counts every suffix value that occurs
-# with bytes.count. That is one pass per value, where a Python loop takes
-# one step per entry. Counts are never multiplied by the heads sharing a
-# list, so the count still runs over one entry per permutation. lp with
-# p >= 2 keeps the loop over entries: its suffix lists hold many distinct
-# values (33 at lp:2 S_6, 179 at S_10), and its byte path was 1.3 to 2.5
-# times slower at every size measured (BENCH_oracle.json, "tally_paths").
+# counts them in C: each head queues its suffix list under the key (d,
+# values), its head distance and the set of distances the list holds, and
+# a flush joins each queue and runs bytes.count once for each value of its
+# key. That is one pass per value, where a Python loop takes one step per
+# entry, and no pass looks for a value its lists cannot hold: an l1 head at
+# distance d meets only the even suffix distances of its own value set.
+# Counts are never multiplied by the heads sharing a list, so the count
+# still runs over one entry per permutation. lp with p >= 2 keeps the loop
+# over entries: its suffix lists hold many distinct values (33 at lp:2 S_6,
+# 179 at S_10), and its byte path was 1.05 to 2.5 times slower at every size
+# measured (BENCH_oracle.json, "tally_paths" and the fourth record).
 
 # A position histogram longer than this (lp with a large p) is a dict.
 _LIST_HISTOGRAM_LIMIT = 1 << 20
@@ -96,31 +99,37 @@ def _nonzero(hist) -> dict[int, int]:
 class _Tally:
     """The leaves of one sweep, by distance.
 
-    ``values`` is None on the entries path, where the walker adds each
-    suffix entry to ``hist`` itself. On the bytes path it is the set of
-    suffix distances that occur, and ``add`` queues a head's byte list
-    under the head distance d; a flush adds ``data.count(t)`` to
-    ``hist[fold((d, t))]`` for each t, where ``data`` joins d's queue."""
+    Unless ``packed``, the walker adds each suffix entry to ``hist``
+    itself. When ``packed``, ``add`` queues a byte suffix list once per
+    head under (d, values), for head distance d and the set of values in
+    the list, and a flush adds ``data.count(t)`` to ``hist[fold((d, t))]``
+    for each t in values, where ``data`` joins that key's queue; ``passes``
+    counts those bytes.count calls."""
 
-    def __init__(self, top: int, fold: Fold, values: set[int] | None):
+    def __init__(self, top: int, fold: Fold, packed: bool = True):
         self.hist = [0] * (top + 1) if top < _LIST_HISTOGRAM_LIMIT else defaultdict(int)
         self.fold = fold
-        self.values = values
-        self.waiting: defaultdict[int, list[bytes]] = defaultdict(list)
-        self.size = self.flushes = 0
+        self.packed = packed
+        self.waiting: defaultdict[tuple[int, frozenset[int]], list[bytes]] = defaultdict(list)
+        self.size = self.flushes = self.passes = 0
 
-    def add(self, d: int, data: bytes) -> None:
-        self.waiting[d].append(data)
-        self.size += len(data)
-        if self.size >= _FLUSH_BYTES:
-            self.flush()
+    def add(self, heads: Iterable[int], data: bytes, values: frozenset[int]) -> None:
+        """Queue ``data``, whose distinct values are ``values``, for each
+        head distance in ``heads``."""
+        waiting, length = self.waiting, len(data)
+        for d in heads:
+            waiting[d, values].append(data)
+            self.size += length
+            if self.size >= _FLUSH_BYTES:
+                self.flush()
 
     def flush(self) -> None:
-        hist, fold, values = self.hist, self.fold, self.values
-        for d, lists in self.waiting.items():
+        hist, fold = self.hist, self.fold
+        for (d, values), lists in self.waiting.items():
             data = b"".join(lists)
             for t in values:
                 hist[fold((d, t))] += data.count(t)
+            self.passes += len(values)
         self.waiting.clear()
         self.size = 0
         self.flushes += 1
@@ -171,16 +180,13 @@ def _walk_costs(metric: MetricId, n: int, packed: bool = True) -> _Tally:
     fold = max if metric.kind == "linf" else sum
     split = _split(n)
     head_rows, suffix_rows = cost[:split], cost[split:]
-    tally = _Tally(fold(map(max, cost)), fold, set() if packed else None)
+    tally = _Tally(fold(map(max, cost)), fold, packed)
     hist = tally.hist
     for placed in combinations(range(n), split):
         heads = _cost_list(head_rows, placed, fold)
         suffix = _cost_list(suffix_rows, [v for v in range(n) if v not in placed], fold)
         if packed:
-            tally.values.update(suffix)
-            suffix = bytes(suffix)
-            for d in heads:
-                tally.add(d, suffix)
+            tally.add(heads, bytes(suffix), frozenset(suffix))
         else:
             for d in heads:
                 for t in suffix:
@@ -196,9 +202,8 @@ def _walk_kendall(metric: MetricId, n: int) -> _Tally:
     head's inversions and every head shares one suffix list."""
     split = _split(n)
     suffix = _group_suffix(metric, n - split)
-    tally = _Tally(n * (n - 1) // 2, sum, set(suffix))
-    for d in map(sum, product(*map(range, range(n, n - split, -1)))):
-        tally.add(d, suffix)
+    tally = _Tally(n * (n - 1) // 2, sum)
+    tally.add(map(sum, product(*map(range, range(n, n - split, -1)))), suffix, frozenset(suffix))
     return tally
 
 
@@ -212,18 +217,21 @@ def _walk_cayley(metric: MetricId, n: int) -> _Tally:
     At ``split`` each open path starts at a value in ``rem`` and ends at an
     open position, so an arrangement a of ``rem`` closes them into the
     cycles of p -> end[a(p)]. As a runs over every arrangement, that map
-    runs over S_k once each, so every head shares one suffix list."""
+    runs over S_k once each, so every head shares one suffix list. The
+    last head position reads no path after its step, so it adds the heads
+    of all its values at once."""
     start = list(range(n))  # start[e]: the first vertex of the path ending at e
     end = list(range(n))  # end[s]: the last vertex of the path starting at s
     split = _split(n)
     suffix = _group_suffix(metric, n - split)
-    tally = _Tally(n - 1, sum, set(suffix))
+    values = frozenset(suffix)
+    tally = _Tally(n - 1, sum)
 
     def walk(i: int, d: int, rem: tuple[int, ...]) -> None:
-        if i == split:
-            tally.add(d, suffix)
-            return
         s = start[i]
+        if i == split - 1:
+            tally.add([d + (v != s) for v in rem], suffix, values)
+            return
         for j, v in enumerate(rem):
             rest = rem[:j] + rem[j + 1 :]
             if v == s:
@@ -234,7 +242,10 @@ def _walk_cayley(metric: MetricId, n: int) -> _Tally:
             walk(i + 1, d + 1, rest)
             start[e], end[s] = v, i
 
-    walk(0, 0, tuple(range(n)))
+    if split:
+        walk(0, 0, tuple(range(n)))
+    else:  # n = 1: the empty head
+        tally.add((0,), suffix, values)
     return tally
 
 
@@ -260,9 +271,9 @@ def _sweep_group(metric: MetricId, n: int) -> dict[int, int]:
     seconds = time.perf_counter() - began
     log.debug(
         "oracle sweep of S_%d under %s: %d permutations in %.3f s (%.0f per second), "
-        "%s tally, %d flushes",
+        "%s tally, %d flushes, %d count passes",
         n, metric.name, perms, seconds, perms / max(seconds, 1e-9),
-        "entries" if tally.values is None else "bytes", tally.flushes,
+        "bytes" if tally.packed else "entries", tally.flushes, tally.passes,
     )
     return hist
 

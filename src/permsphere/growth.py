@@ -300,6 +300,8 @@ def hamming_sphere(n: int, j: int) -> int:
     """#{u in S_n : H(u) = j} = D_j * C(n, j)."""
     if n < 0 or j < 0:
         raise ValueError("n and j must be nonnegative")
+    if j > n:  # C(n, j) = 0: neither compute nor cache D_j
+        return 0
     return derangements(j) * math.comb(n, j)
 
 

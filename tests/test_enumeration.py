@@ -131,18 +131,48 @@ class TestOracle:
     def test_byte_path_equals_the_entries_loop(self, name, n):
         metric = MetricId.parse(name)
         by_bytes, by_entries = (enumeration._walk_costs(metric, n, packed) for packed in (True, False))
-        assert by_bytes.values is not None and by_entries.values is None
+        assert by_bytes.packed and not by_entries.packed
         assert by_bytes.counts() == by_entries.counts() == group_histogram(metric, n)
 
-    # The debug line names the tally path and counts the flushes: a byte
-    # sweep flushes once at the end, or at every node (n! / k! of them) when
-    # each list fills the flush size; lp:40's distances take the entries loop.
+    # Every byte list waits under its head distance and the set of values it
+    # holds, so each count pass finds at least one entry, and a flush makes
+    # one pass per value of each key. Flushing at every node as well as once
+    # at the end keeps that true for each head's own list.
+    @pytest.mark.parametrize("flush_bytes", [1 << 20, 1])
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("name", ["l1", "hamming", "linf", "kendall", "cayley"])
+    def test_every_queued_list_holds_each_value_of_its_key(self, name, n, flush_bytes, monkeypatch):
+        metric = MetricId.parse(name)
+        expected = group_histogram(metric, n)
+        monkeypatch.setattr(enumeration, "_FLUSH_BYTES", flush_bytes)
+        flush = enumeration._Tally.flush
+        flushed = []
+
+        def spy(tally):
+            for (_, values), lists in tally.waiting.items():
+                assert all(set(data) == values for data in lists)
+            passes = tally.passes
+            flushed.append(sum(len(values) for _, values in tally.waiting))
+            flush(tally)
+            assert tally.passes - passes == flushed[-1]
+
+        monkeypatch.setattr(enumeration._Tally, "flush", spy)
+        tally = enumeration._WALKS[metric.kind](metric, n)
+        assert tally.counts() == expected
+        assert len(flushed) == tally.flushes >= 1
+
+    # The debug line names the tally path and counts the flushes and the
+    # bytes.count passes: a byte sweep flushes once at the end, or at every
+    # node (n! / k! of them) when each list fills the flush size; lp:40's
+    # distances take the entries loop. Kendall S_8 makes one pass for each
+    # of the 23 head distances and each of the 7 inversion counts of S_4.
     @pytest.mark.parametrize("name, n, flush_bytes, tail", [
-        ("l1", 5, 1 << 20, "bytes tally, 1 flushes"),
-        ("l1", 5, 1, "bytes tally, 60 flushes"),
-        ("kendall", 8, 1 << 20, "bytes tally, 1 flushes"),
-        ("kendall", 8, 24 * 100, "bytes tally, 17 flushes"),
-        ("lp:40", 5, 1, "entries tally, 0 flushes"),
+        ("l1", 5, 1 << 20, "bytes tally, 1 flushes, 34 count passes"),
+        ("l1", 5, 1, "bytes tally, 60 flushes, 84 count passes"),
+        ("kendall", 8, 1 << 20, "bytes tally, 1 flushes, 161 count passes"),
+        ("kendall", 8, 24 * 100, "bytes tally, 17 flushes, 1547 count passes"),
+        ("cayley", 6, 1 << 20, "bytes tally, 1 flushes, 12 count passes"),
+        ("lp:40", 5, 1, "entries tally, 0 flushes, 0 count passes"),
     ])
     def test_debug_line_reports_the_tally(self, name, n, flush_bytes, tail, fresh_sweeps, monkeypatch, caplog):
         monkeypatch.setattr(enumeration, "_FLUSH_BYTES", flush_bytes)

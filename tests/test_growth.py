@@ -296,6 +296,13 @@ class TestHamming:
         assert derangements(3000) == expected[3000]
         assert hamming_sphere(3000, 1500) == expected[1500]
 
+    # no permutation of S_n moves more than n points, and D_j is not built
+    def test_j_above_n_is_zero_without_derangements(self):
+        before = derangements.cache_info().currsize
+        assert hamming_sphere(3, 50000) == 0
+        assert hamming_sphere(0, 1) == 0
+        assert derangements.cache_info().currsize == before
+
     def test_point_values(self):
         assert hamming_sphere(5, 2) == 10
         assert hamming_sphere(5, 3) == 20
