@@ -21,8 +21,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import combinations, permutations, product
-from operator import getitem
+from itertools import chain, combinations, permutations, product
 from typing import Callable, Iterable
 
 from .metrics import KENDALL, MetricId, distance_to_identity
@@ -69,19 +68,32 @@ def check_cap(n: int) -> None:
 # list is ever deduplicated or a histogram, which would merge permutations
 # at equal distance.
 #
-# The suffix lists are bytes, one byte per arrangement (bytes() refuses a
-# distance above 255, which no sweep under the cap reaches), and a _Tally
-# counts them in C: each head queues its suffix list under the key (d,
-# values), its head distance and the set of distances the list holds, and
-# a flush joins each queue and runs bytes.count once for each value of its
-# key. That is one pass per value, where a Python loop takes one step per
-# entry, and no pass looks for a value its lists cannot hold: an l1 head at
-# distance d meets only the even suffix distances of its own value set.
-# Counts are never multiplied by the heads sharing a list, so the count
-# still runs over one entry per permutation. lp with p >= 2 keeps the loop
-# over entries: its suffix lists hold many distinct values (33 at lp:2 S_6,
-# 179 at S_10), and its byte path was 1.05 to 2.5 times slower at every size
-# measured (BENCH_oracle.json, "tally_paths" and the fourth record).
+# The lists are built by shift and join, not by one fold per arrangement.
+# In itertools.permutations order, the list of a value tuple from position
+# i is the join, for each value v in turn, of the list of the other values
+# from position i + 1 with cost[i][v] folded into every entry. A byte list
+# folds c in with one bytes.translate through a 256-byte table, t -> t + c
+# (max(c, t) for linf). A sub-list depends only on its position and its
+# values, so a sweep builds each once and shares it among every value set
+# that holds it: l1 S_10 makes 5,100 translates for its 60,480 list
+# entries, and every list still holds one entry per arrangement. A table
+# would wrap past 255 without an error, so a byte sweep whose top (the fold
+# of each position's largest cost) passes 255 is refused before it starts;
+# under the default cap the largest top is l1 S_12's 102.
+#
+# The suffix lists are bytes, and a _Tally counts them in C: each head
+# queues its suffix list under the key (d, values), its head distance and
+# the set of distances the list holds, and a flush joins each queue and
+# runs bytes.count once for each value of its key. That is one pass per
+# value, where a Python loop takes one step per entry, and no pass looks
+# for a value its lists cannot hold: an l1 head at distance d meets only
+# the even suffix distances of its own value set. Counts are never
+# multiplied by the heads sharing a list, so the count still runs over one
+# entry per permutation. lp with p >= 2 keeps the loop over entries, on int
+# lists from the same builder: its suffix lists hold many distinct values
+# (33 at lp:2 S_6, 179 at S_10), and its byte path was 1.05 to 2.5 times
+# slower at every size measured (BENCH_oracle.json, "tally_paths" and the
+# fourth record).
 
 # A position histogram longer than this (lp with a large p) is a dict.
 _LIST_HISTOGRAM_LIMIT = 1 << 20
@@ -89,6 +101,7 @@ _LIST_HISTOGRAM_LIMIT = 1 << 20
 _FLUSH_BYTES = 1 << 20
 
 Fold = Callable[[Iterable[int]], int]
+_BYTES = bytes(range(256))
 
 
 def _nonzero(hist) -> dict[int, int]:
@@ -155,13 +168,42 @@ def _position_costs(metric: MetricId, n: int) -> list[list[int]]:
     return [[abs(v - i) ** p for v in range(n)] for i in range(n)]
 
 
-def _cost_list(rows: list[list[int]], values: Iterable[int], fold: Fold) -> list[int]:
-    """For each arrangement of ``values`` over the positions of the cost
-    ``rows``, in ``itertools.permutations`` order, the ``fold`` of its
-    position costs; no rows (the head at n = 1) cost nothing."""
-    if not rows:
-        return [0]
-    return [fold(map(getitem, rows, arr)) for arr in permutations(values)]
+@cache
+def _shift_table(c: int, fold: Fold) -> bytes:
+    """The bytes.translate table that folds cost c into each byte t: t + c,
+    or max(c, t) for linf. Entries whose sum would pass 255 are zero and
+    never read, since a byte sweep's top is at most 255."""
+    if fold is max:
+        return bytes((c,)) * c + _BYTES[c:]
+    return _BYTES[c:] + bytes(c)
+
+
+def _arrangement_lists(
+    cost: list[list[int]], fold: Fold, packed: bool
+) -> Callable[[int, tuple[int, ...]], bytes | list[int]]:
+    """The list builder of one sweep: ``build(i, values)`` lists, for each
+    arrangement of ``values`` over positions i, i+1, ..., in
+    ``itertools.permutations`` order, the ``fold`` of its position costs,
+    as bytes when ``packed`` and else as ints (sum only); no values cost
+    nothing. It builds each sub-list once (see the note on shift and join)
+    and keeps none of the lists it returns."""
+    memo: dict[tuple[int, tuple[int, ...]], bytes | list[int]] = {}
+
+    def build(i: int, values: tuple[int, ...]) -> bytes | list[int]:
+        if len(values) < 2:
+            c = cost[i][values[0]] if values else 0
+            return bytes((c,)) if packed else [c]
+        row, parts = cost[i], []
+        for j, v in enumerate(values):
+            rest = values[:j] + values[j + 1 :]
+            sub = memo.get((i + 1, rest))
+            if sub is None:
+                sub = memo[i + 1, rest] = build(i + 1, rest)
+            c = row[v]
+            parts.append(sub.translate(_shift_table(c, fold)) if packed else [c + t for t in sub])
+        return b"".join(parts) if packed else list(chain.from_iterable(parts))
+
+    return build
 
 
 def _group_suffix(metric: MetricId, k: int) -> bytes:
@@ -173,20 +215,23 @@ def _group_suffix(metric: MetricId, k: int) -> bytes:
 
 def _walk_costs(metric: MetricId, n: int, packed: bool = True) -> _Tally:
     """l1, lp, Hamming and linf: value v at position i costs cost[i][v],
-    and the distance folds the costs, by sum (max for linf). The suffix
-    lists are bytes when ``packed``; otherwise the sweep adds d + t entry
-    by entry, which serves the sum metrics only."""
+    and the distance folds the costs, by sum (max for linf). The head and
+    suffix lists are bytes when ``packed``; otherwise they are ints and the
+    sweep adds d + t entry by entry, which serves the sum metrics only."""
     cost = _position_costs(metric, n)
     fold = max if metric.kind == "linf" else sum
+    top = fold(map(max, cost))
+    if packed and top > 255:
+        raise ValueError(f"{metric.name} distances on S_{n} may reach {top}; a byte list holds 255")
     split = _split(n)
-    head_rows, suffix_rows = cost[:split], cost[split:]
-    tally = _Tally(fold(map(max, cost)), fold, packed)
+    build = _arrangement_lists(cost, fold, packed)
+    tally = _Tally(top, fold, packed)
     hist = tally.hist
     for placed in combinations(range(n), split):
-        heads = _cost_list(head_rows, placed, fold)
-        suffix = _cost_list(suffix_rows, [v for v in range(n) if v not in placed], fold)
+        heads = build(0, placed)
+        suffix = build(split, tuple(v for v in range(n) if v not in placed))
         if packed:
-            tally.add(heads, bytes(suffix), frozenset(suffix))
+            tally.add(heads, suffix, frozenset(suffix))
         else:
             for d in heads:
                 for t in suffix:

@@ -22,9 +22,7 @@ from permsphere import (
 from permsphere import enumeration
 from permsphere.enumeration import (
     EnumerationCapError,
-    _cost_list,
     _group_suffix,
-    _position_costs,
     _split,
     _widest,
     attainable_radii,
@@ -61,6 +59,35 @@ SWEEP_METRICS = [
     ("linf", word_linf), ("hamming", word_hamming), ("cayley", word_cayley),
     ("kendall", word_inversions),
 ]
+
+
+# The position-cost metrics with their fold and the cost of a value moved
+# by g places.
+COST_FOLDS = [
+    ("l1", sum, lambda g: g), ("lp:3", sum, lambda g: g**3),
+    ("hamming", sum, lambda g: int(g != 0)), ("linf", max, lambda g: g),
+]
+
+
+def lists_built(monkeypatch, metric, n):
+    """Sweep S_n under ``metric`` and return each list its walker took from
+    the arrangement-list builder, as (first position, values, entries)."""
+    built = []
+    make = enumeration._arrangement_lists
+
+    def spy_make(cost, fold, packed):
+        build = make(cost, fold, packed)
+
+        def spy(i, values):
+            data = build(i, values)
+            built.append((i, tuple(values), list(data)))
+            return data
+
+        return spy
+
+    monkeypatch.setattr(enumeration, "_arrangement_lists", spy_make)
+    enumeration._WALKS[metric.kind](metric, n)
+    return built
 
 
 @pytest.fixture
@@ -186,25 +213,16 @@ class TestOracle:
     # after the head, never a histogram, and a sweep builds one list per
     # value set, so it tallies each permutation once.
     @pytest.mark.parametrize("n", [1, 2, 5, 7])
-    @pytest.mark.parametrize("name, fold, cost", [
-        ("l1", sum, lambda g: g), ("lp:3", sum, lambda g: g**3),
-        ("hamming", sum, lambda g: int(g != 0)), ("linf", max, lambda g: g),
-    ], ids=["l1", "lp:3", "hamming", "linf"])
+    @pytest.mark.parametrize("name, fold, cost", COST_FOLDS, ids=["l1", "lp:3", "hamming", "linf"])
     def test_suffix_lists_hold_every_arrangement_once(self, name, fold, cost, n, monkeypatch):
         metric = MetricId.parse(name)
         split = _split(n)
         k = n - split
-        suffix_rows = _position_costs(metric, n)[split:]
-        built: list[tuple[tuple[int, ...], list[int]]] = []
-
-        def spy(rows, values, fold):
-            costs = _cost_list(rows, values, fold)
-            if rows == suffix_rows:
-                built.append((tuple(values), costs))
-            return costs
-
-        monkeypatch.setattr(enumeration, "_cost_list", spy)
-        enumeration._WALKS[metric.kind](metric, n)
+        built = [
+            (rem, costs)
+            for i, rem, costs in lists_built(monkeypatch, metric, n)
+            if i == split and len(rem) == k
+        ]
         for rem, costs in built:
             expected = [
                 fold(cost(abs(v - i)) for i, v in enumerate(arr, split))
@@ -214,6 +232,34 @@ class TestOracle:
             assert costs == expected
         # one list per value set, C(n, k) in all
         assert sorted(rem for rem, _ in built) == list(itertools.combinations(range(n), k))
+
+    # So does each head list, for the values placed in the first positions;
+    # the empty head of S_1 costs nothing.
+    @pytest.mark.parametrize("n", [1, 2, 5, 7])
+    @pytest.mark.parametrize("name, fold, cost", COST_FOLDS, ids=["l1", "lp:3", "hamming", "linf"])
+    def test_head_lists_hold_every_arrangement_once(self, name, fold, cost, n, monkeypatch):
+        metric = MetricId.parse(name)
+        split = _split(n)
+        built = [
+            (placed, costs)
+            for i, placed, costs in lists_built(monkeypatch, metric, n)
+            if i == 0 and len(placed) == split
+        ]
+        for placed, costs in built:
+            expected = [
+                fold([cost(abs(v - i)) for i, v in enumerate(arr)] or [0])
+                for arr in itertools.permutations(placed)
+            ]
+            assert len(costs) == math.factorial(split)
+            assert costs == expected
+        # one list per value set, C(n, split) in all
+        assert sorted(placed for placed, _ in built) == list(itertools.combinations(range(n), split))
+
+    # A translate table wraps past 255, so a byte sweep whose distances may
+    # not fit a byte is refused before it starts (lp:3 on S_7 reaches 576).
+    def test_byte_sweep_refuses_distances_past_a_byte(self):
+        with pytest.raises(ValueError, match="255"):
+            enumeration._walk_costs(MetricId.parse("lp:3"), 7, packed=True)
 
     # Kendall and Cayley finish every head from one list, the distances of
     # S_k itself, one entry per permutation (1-based words).
