@@ -81,19 +81,21 @@ def check_cap(n: int) -> None:
 # of each position's largest cost) passes 255 is refused before it starts;
 # under the default cap the largest top is l1 S_12's 102.
 #
-# The suffix lists are bytes, and a _Tally counts them in C: each head
-# queues its suffix list under the key (d, values), its head distance and
-# the set of distances the list holds, and a flush joins each queue and
-# runs bytes.count once for each value of its key. That is one pass per
-# value, where a Python loop takes one step per entry, and no pass looks
-# for a value its lists cannot hold: an l1 head at distance d meets only
-# the even suffix distances of its own value set. Counts are never
-# multiplied by the heads sharing a list, so the count still runs over one
-# entry per permutation. lp with p >= 2 keeps the loop over entries, on int
-# lists from the same builder: its suffix lists hold many distinct values
-# (33 at lp:2 S_6, 179 at S_10), and its byte path was 1.05 to 2.5 times
-# slower at every size measured (BENCH_oracle.json, "tally_paths" and the
-# fourth record).
+# The suffix lists are bytes, and a _Tally counts them in C. A walker hands
+# it the head distances of a suffix list as bytes, one per head, and for
+# each head distance d the tally queues the list, repeated once per head at
+# d, under the key (d, values), where values is the set of distances the
+# list holds. A flush joins each queue and runs bytes.count once for each
+# value of its key. That is one pass per value, where a Python loop takes
+# one step per entry, and no pass looks for a value its lists cannot hold:
+# an l1 head at distance d meets only the even suffix distances of its own
+# value set. Counts are never multiplied by the heads sharing a list: the
+# repeats are real bytes, so the count still runs over one entry per
+# permutation, and the sweep checks that its flushes scanned n! of them.
+# lp with p >= 2 keeps the loop over entries, on int lists from the same
+# builder: its suffix lists hold many distinct values (33 at lp:2 S_6, 179
+# at S_10), and its byte path was 1.05 to 2.5 times slower at every size
+# measured (BENCH_oracle.json, "tally_paths" and the fourth record).
 
 # A position histogram longer than this (lp with a large p) is a dict.
 _LIST_HISTOGRAM_LIMIT = 1 << 20
@@ -113,28 +115,37 @@ class _Tally:
     """The leaves of one sweep, by distance.
 
     Unless ``packed``, the walker adds each suffix entry to ``hist``
-    itself. When ``packed``, ``add`` queues a byte suffix list once per
-    head under (d, values), for head distance d and the set of values in
-    the list, and a flush adds ``data.count(t)`` to ``hist[fold((d, t))]``
-    for each t in values, where ``data`` joins that key's queue; ``passes``
-    counts those bytes.count calls."""
+    itself, and counts them in ``leaves``. When ``packed``, ``add`` queues
+    a byte suffix list under (d, values) once for each head at distance d,
+    where values is the set of values in the list, and a flush adds
+    ``data.count(t)`` to ``hist[fold((d, t))]`` for each t in values, where
+    ``data`` joins that key's queue; ``passes`` counts those bytes.count
+    calls and ``leaves`` the bytes of every joined queue."""
 
     def __init__(self, top: int, fold: Fold, packed: bool = True):
         self.hist = [0] * (top + 1) if top < _LIST_HISTOGRAM_LIMIT else defaultdict(int)
         self.fold = fold
         self.packed = packed
         self.waiting: defaultdict[tuple[int, frozenset[int]], list[bytes]] = defaultdict(list)
-        self.size = self.flushes = self.passes = 0
+        self.size = self.flushes = self.passes = self.leaves = 0
 
-    def add(self, heads: Iterable[int], data: bytes, values: frozenset[int]) -> None:
-        """Queue ``data``, whose distinct values are ``values``, for each
-        head distance in ``heads``."""
-        waiting, length = self.waiting, len(data)
-        for d in heads:
-            waiting[d, values].append(data)
-            self.size += length
-            if self.size >= _FLUSH_BYTES:
-                self.flush()
+    def add(self, heads: bytes, data: bytes, values: frozenset[int]) -> None:
+        """Queue ``data``, whose distinct values are ``values``, once for
+        each head distance byte in ``heads``: the heads at one distance
+        queue ``data`` repeated, in pieces that fill at most the room left
+        under _FLUSH_BYTES (one copy if ``data`` is longer). The queue is
+        flushed once it has no room for another copy, so a piece that
+        fills it is counted as it stands, without a join."""
+        length = len(data)
+        for d in set(heads):
+            copies = heads.count(d)
+            while copies:
+                piece = min(copies, max(1, (_FLUSH_BYTES - self.size) // length))
+                self.waiting[d, values].append(data * piece)
+                self.size += length * piece
+                copies -= piece
+                if self.size + length > _FLUSH_BYTES:
+                    self.flush()
 
     def flush(self) -> None:
         hist, fold = self.hist, self.fold
@@ -143,6 +154,7 @@ class _Tally:
             for t in values:
                 hist[fold((d, t))] += data.count(t)
             self.passes += len(values)
+            self.leaves += len(data)
         self.waiting.clear()
         self.size = 0
         self.flushes += 1
@@ -236,6 +248,7 @@ def _walk_costs(metric: MetricId, n: int, packed: bool = True) -> _Tally:
             for d in heads:
                 for t in suffix:
                     hist[d + t] += 1
+            tally.leaves += len(heads) * len(suffix)
     return tally
 
 
@@ -248,7 +261,8 @@ def _walk_kendall(metric: MetricId, n: int) -> _Tally:
     split = _split(n)
     suffix = _group_suffix(metric, n - split)
     tally = _Tally(n * (n - 1) // 2, sum)
-    tally.add(map(sum, product(*map(range, range(n, n - split, -1)))), suffix, frozenset(suffix))
+    heads = bytes(map(sum, product(*map(range, range(n, n - split, -1)))))
+    tally.add(heads, suffix, frozenset(suffix))
     return tally
 
 
@@ -263,19 +277,20 @@ def _walk_cayley(metric: MetricId, n: int) -> _Tally:
     open position, so an arrangement a of ``rem`` closes them into the
     cycles of p -> end[a(p)]. As a runs over every arrangement, that map
     runs over S_k once each, so every head shares one suffix list. The
-    last head position reads no path after its step, so it adds the heads
-    of all its values at once."""
+    last head position reads no path after its step, so it appends the
+    head distances of all its values at once, and the sweep queues every
+    head in one add."""
     start = list(range(n))  # start[e]: the first vertex of the path ending at e
     end = list(range(n))  # end[s]: the last vertex of the path starting at s
     split = _split(n)
     suffix = _group_suffix(metric, n - split)
-    values = frozenset(suffix)
     tally = _Tally(n - 1, sum)
+    heads = bytearray()
 
     def walk(i: int, d: int, rem: tuple[int, ...]) -> None:
         s = start[i]
         if i == split - 1:
-            tally.add([d + (v != s) for v in rem], suffix, values)
+            heads.extend([d + (v != s) for v in rem])
             return
         for j, v in enumerate(rem):
             rest = rem[:j] + rem[j + 1 :]
@@ -290,7 +305,8 @@ def _walk_cayley(metric: MetricId, n: int) -> _Tally:
     if split:
         walk(0, 0, tuple(range(n)))
     else:  # n = 1: the empty head
-        tally.add((0,), suffix, values)
+        heads.append(0)
+    tally.add(bytes(heads), suffix, frozenset(suffix))
     return tally
 
 
@@ -316,10 +332,14 @@ def _sweep_group(metric: MetricId, n: int) -> dict[int, int]:
     seconds = time.perf_counter() - began
     log.debug(
         "oracle sweep of S_%d under %s: %d permutations in %.3f s (%.0f per second), "
-        "%s tally, %d flushes, %d count passes",
+        "%s tally, %d flushes, %d count passes, %d leaves",
         n, metric.name, perms, seconds, perms / max(seconds, 1e-9),
-        "bytes" if tally.packed else "entries", tally.flushes, tally.passes,
+        "bytes" if tally.packed else "entries", tally.flushes, tally.passes, tally.leaves,
     )
+    if tally.leaves != perms:
+        raise ArithmeticError(
+            f"the oracle sweep of S_{n} under {metric.name} counted {tally.leaves} leaves, not {perms}"
+        )
     return hist
 
 

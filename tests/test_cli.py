@@ -324,7 +324,7 @@ class TestOptions:
         )
         assert proc.returncode == 0 and proc.stdout == "oracle: 20\n"
         assert "oracle sweep of S_5 under l1: 120 permutations in " in proc.stderr
-        assert "per second), bytes tally, 1 flushes, 34 count passes\n" in proc.stderr
+        assert "per second), bytes tally, 1 flushes, 34 count passes, 120 leaves\n" in proc.stderr
 
     def test_python_m_permsphere(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))

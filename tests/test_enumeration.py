@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+from collections import Counter
 
 import pytest
 
@@ -188,18 +189,23 @@ class TestOracle:
         assert tally.counts() == expected
         assert len(flushed) == tally.flushes >= 1
 
-    # The debug line names the tally path and counts the flushes and the
-    # bytes.count passes: a byte sweep flushes once at the end, or at every
-    # node (n! / k! of them) when each list fills the flush size; lp:40's
-    # distances take the entries loop. Kendall S_8 makes one pass for each
-    # of the 23 head distances and each of the 7 inversion counts of S_4.
+    # The debug line names the tally path and counts the flushes, the
+    # bytes.count passes and the leaves, one per permutation. A byte sweep
+    # flushes once at the end, or whenever its queue has no room for another
+    # copy of a suffix list: the heads at one distance queue their list
+    # repeated, in pieces that fill the room left, so a flush size of 1
+    # flushes after each head (n! / k! of them) and Kendall S_8's 24 * 100
+    # after every 100 heads (17 flushes for its 40,320 leaves); lp:40's
+    # distances take the entries loop. Flushing once, Kendall S_8 makes one
+    # pass for each of the 23 head distances and each of the 7 inversion
+    # counts of S_4.
     @pytest.mark.parametrize("name, n, flush_bytes, tail", [
-        ("l1", 5, 1 << 20, "bytes tally, 1 flushes, 34 count passes"),
-        ("l1", 5, 1, "bytes tally, 60 flushes, 84 count passes"),
-        ("kendall", 8, 1 << 20, "bytes tally, 1 flushes, 161 count passes"),
-        ("kendall", 8, 24 * 100, "bytes tally, 17 flushes, 1547 count passes"),
-        ("cayley", 6, 1 << 20, "bytes tally, 1 flushes, 12 count passes"),
-        ("lp:40", 5, 1, "entries tally, 0 flushes, 0 count passes"),
+        ("l1", 5, 1 << 20, "bytes tally, 1 flushes, 34 count passes, 120 leaves"),
+        ("l1", 5, 1, "bytes tally, 60 flushes, 84 count passes, 120 leaves"),
+        ("kendall", 8, 1 << 20, "bytes tally, 1 flushes, 161 count passes, 40320 leaves"),
+        ("kendall", 8, 24 * 100, "bytes tally, 17 flushes, 273 count passes, 40320 leaves"),
+        ("cayley", 6, 1 << 20, "bytes tally, 1 flushes, 12 count passes, 720 leaves"),
+        ("lp:40", 5, 1, "entries tally, 0 flushes, 0 count passes, 120 leaves"),
     ])
     def test_debug_line_reports_the_tally(self, name, n, flush_bytes, tail, fresh_sweeps, monkeypatch, caplog):
         monkeypatch.setattr(enumeration, "_FLUSH_BYTES", flush_bytes)
@@ -208,6 +214,50 @@ class TestOracle:
         [message] = [r.getMessage() for r in caplog.records]
         assert message.startswith(f"oracle sweep of S_{n} under {name}: ")
         assert message.endswith(tail)
+
+    # A sweep counts one leaf per permutation, whether it flushes once at
+    # the end or after every piece, and no queued piece outgrows the flush
+    # size unless one suffix list does.
+    @pytest.mark.parametrize("flush_bytes", [1 << 20, 1])
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("name", ["l1", "hamming", "linf", "kendall", "cayley"])
+    def test_a_sweep_counts_one_leaf_per_permutation(self, name, n, flush_bytes, monkeypatch):
+        metric = MetricId.parse(name)
+        monkeypatch.setattr(enumeration, "_FLUSH_BYTES", flush_bytes)
+        add, flush = enumeration._Tally.add, enumeration._Tally.flush
+        bound = [flush_bytes]
+
+        def spy_add(tally, heads, data, values):
+            bound[0] = max(bound[0], len(data))
+            add(tally, heads, data, values)
+
+        def spy_flush(tally):
+            assert all(len(piece) <= bound[0] for lists in tally.waiting.values() for piece in lists)
+            flush(tally)
+
+        monkeypatch.setattr(enumeration._Tally, "add", spy_add)
+        monkeypatch.setattr(enumeration._Tally, "flush", spy_flush)
+        tally = enumeration._WALKS[metric.kind](metric, n)
+        tally.counts()
+        assert tally.leaves == math.factorial(n)
+
+    # Kendall and Cayley queue all their heads in one add, one head
+    # distance byte per head (n! / k! of them), and each head paired with
+    # each entry of the S_k suffix list gives the whole-word histogram.
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize(
+        "name, dist", [("kendall", word_inversions), ("cayley", word_cayley)], ids=["kendall", "cayley"]
+    )
+    def test_one_add_queues_every_head(self, name, dist, n, monkeypatch):
+        added = []
+        monkeypatch.setattr(enumeration._Tally, "add", lambda tally, *args: added.append(args))
+        metric = MetricId(name)
+        enumeration._WALKS[metric.kind](metric, n)
+        [(heads, data, values)] = added
+        k = n - _split(n)
+        assert type(heads) is bytes and len(heads) == math.factorial(n) // math.factorial(k)
+        assert data == _group_suffix(metric, k) and values == set(data)
+        assert Counter(d + t for d in heads for t in data) == word_histogram(dist, n)
 
     # Each suffix list holds one distance per arrangement of the values left
     # after the head, never a histogram, and a sweep builds one list per
