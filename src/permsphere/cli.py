@@ -59,7 +59,9 @@ def cmd_dist(args) -> int:
 def _cmd_count(args, ball: bool) -> int:
     metric = _metric(args.metric)
     try:
-        report = count_report(metric, args.n, args.radius, ball=ball, method=args.method)
+        report = count_report(
+            metric, args.n, args.radius, ball=ball, method=args.method, cap=args.max_enum_degree
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -150,7 +152,8 @@ def cmd_poly(args) -> int:
 def cmd_verify(args) -> int:
     try:
         report = verify_mod.run_verify(
-            max_n=args.max_n, max_k=args.max_k, include_printed_p6=args.include_printed_p6
+            max_n=args.max_n, max_k=args.max_k, include_printed_p6=args.include_printed_p6,
+            cap=args.max_enum_degree,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -248,11 +251,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # bare messages, as Python prints a warning when logging is not configured
     logging.basicConfig(level=args.log_level.upper(), format="%(message)s")
-    # set on every call, so no cap outlives the call that asked for it
-    try:
-        enumeration.set_max_degree(args.max_enum_degree)
-    except ValueError as exc:
-        print(f"error: --max-enum-degree: {exc}", file=sys.stderr)
+    if args.max_enum_degree < 1:
+        print("error: --max-enum-degree: cap must be positive", file=sys.stderr)
         return 1
     return args.fn(args)
 

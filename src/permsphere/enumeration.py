@@ -3,8 +3,8 @@
 Two independent counting paths live here:
 
 * the brute-force oracle, which visits all of S_n, each permutation as a
-  head of its first positions paired with a suffix of the rest, and
-  tallies the distance of every permutation,
+  head paired with a suffix, and tallies the distance of every
+  permutation,
 * the pipeline, which counts connected parts in polynomial time, combines
   them through the composition convolution and weighs each (m, q) cell by
   the binomial [n+q-m choose q]; a query evaluates the cells it builds as
@@ -32,41 +32,40 @@ log = logging.getLogger(__name__)
 DEFAULT_MAX_DEGREE = 12
 # Sweeps above this degree are legal (up to the cap) but get a loud warning.
 _COMFORT_DEGREE = 10
-_max_degree = DEFAULT_MAX_DEGREE
 
 
 class EnumerationCapError(ValueError):
     """Raised when a request would enumerate a symmetric group above the cap."""
 
 
-def set_max_degree(cap: int) -> None:
-    global _max_degree
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    _max_degree = cap
-
-
-def check_cap(n: int) -> None:
-    """Refuse an oracle sweep of S_n above the configured cap."""
-    if n > _max_degree:
-        raise EnumerationCapError(
-            f"enumerating S_{n} exceeds the configured cap of {_max_degree}"
-        )
+def check_cap(n: int, cap: int) -> None:
+    """Refuse an oracle sweep of S_n above ``cap``."""
+    if n > cap:
+        raise EnumerationCapError(f"enumerating S_{n} exceeds the configured cap of {cap}")
 
 
 # -- the oracle's sweep (cached) ------------------------------------------
 #
-# Positions and values run over 0..n-1. Every sweep splits each permutation
-# at ``split`` into a head, the first positions, and a suffix, the last k,
-# and pairs each head of a value set with each suffix of the other values:
-# every permutation is one head entry paired with one suffix entry, tallied
-# at d + t (max(d, t) for linf) for head distance d and suffix distance t.
-# The l1, lp, Hamming and linf lists fold the position costs of each
-# arrangement (sum, or max for linf), one list of heads and one of
-# suffixes per value set. Kendall heads are Lehmer codes; Kendall and
-# Cayley suffixes are one list per sweep, the distances of S_k itself. No
-# list is ever deduplicated or a histogram, which would merge permutations
-# at equal distance.
+# Every sweep cuts each permutation into a head and a suffix, and pairs
+# each head with each suffix it fits: every permutation is one head entry
+# paired with one suffix entry, tallied at d + t (max(d, t) for linf) for
+# head distance d and suffix distance t. No list is ever deduplicated or a
+# histogram, which would merge permutations at equal distance.
+#
+# l1, lp, Hamming and linf split at ``split``: the head is the first
+# positions, the suffix the last k, with positions and values over 0..n-1.
+# Their lists fold the position costs of each arrangement (sum, or max for
+# linf), one list of heads and one of suffixes per value set.
+#
+# Kendall and Cayley build each permutation by its insertion code: values
+# 1..n go in one at a time, value i into one of i places, and place c costs
+# _STEPS[kind](i)[c]. For Kendall, i put with c values after it opens c
+# inversions (inversion tables; Knuth, TAOCP vol. 3, 5.1.1). For Cayley, i
+# is a new cycle (cost 0) or follows one of the i - 1 values already placed
+# in its cycle (cost 1), so n minus the number of cycles is the sum of the
+# steps (Stanley, EC1, Prop. 1.3.7). The first k insertions form a
+# permutation of S_k, so the suffix is one list per sweep, the distances of
+# S_k itself, and each head is a code for the values k+1..n.
 #
 # The lists are built by shift and join, not by one fold per arrangement.
 # In itertools.permutations order, the list of a value tuple from position
@@ -82,7 +81,7 @@ def check_cap(n: int) -> None:
 # under the default cap the largest top is l1 S_12's 102.
 #
 # The suffix lists are bytes, and a _Tally counts them in C. A walker hands
-# it the head distances of a suffix list as bytes, one per head, and for
+# it a suffix list and its head distances as bytes, one per head, and for
 # each head distance d the tally queues the list, repeated once per head at
 # d, under the key (d, values), where values is the set of distances the
 # list holds. A flush joins each queue and runs bytes.count once for each
@@ -91,11 +90,12 @@ def check_cap(n: int) -> None:
 # an l1 head at distance d meets only the even suffix distances of its own
 # value set. Counts are never multiplied by the heads sharing a list: the
 # repeats are real bytes, so the count still runs over one entry per
-# permutation, and the sweep checks that its flushes scanned n! of them.
-# lp with p >= 2 keeps the loop over entries, on int lists from the same
-# builder: its suffix lists hold many distinct values (33 at lp:2 S_6, 179
-# at S_10), and its byte path was 1.05 to 2.5 times slower at every size
-# measured (BENCH_oracle.json, "tally_paths" and the fourth record).
+# permutation. lp with p >= 2 takes int lists from the same builder, and
+# its tally adds d + t entry by entry as each list comes in: its suffix
+# lists hold many distinct values (33 at lp:2 S_6, 179 at S_10), and its
+# byte path was 1.05 to 2.5 times slower at every size measured
+# (BENCH_oracle.json, "tally_paths" and the fourth record). Either way the
+# tally alone counts the leaves, and the sweep checks that they are n!.
 
 # A position histogram longer than this (lp with a large p) is a dict.
 _LIST_HISTOGRAM_LIMIT = 1 << 20
@@ -114,13 +114,14 @@ def _nonzero(hist) -> dict[int, int]:
 class _Tally:
     """The leaves of one sweep, by distance.
 
-    Unless ``packed``, the walker adds each suffix entry to ``hist``
-    itself, and counts them in ``leaves``. When ``packed``, ``add`` queues
-    a byte suffix list under (d, values) once for each head at distance d,
-    where values is the set of values in the list, and a flush adds
-    ``data.count(t)`` to ``hist[fold((d, t))]`` for each t in values, where
-    ``data`` joins that key's queue; ``passes`` counts those bytes.count
-    calls and ``leaves`` the bytes of every joined queue."""
+    ``add`` takes the head distances of a suffix list and the list. When
+    ``packed`` it queues a byte suffix list under (d, values) once for each
+    head at distance d, where values is the set of values in the list, and
+    a flush adds ``data.count(t)`` to ``hist[fold((d, t))]`` for each t in
+    values, where ``data`` joins that key's queue; ``passes`` counts those
+    bytes.count calls and ``leaves`` the bytes of every joined queue.
+    Unless ``packed``, ``add`` adds d + t for each head and suffix entry at
+    once, and counts them in ``leaves``."""
 
     def __init__(self, top: int, fold: Fold, packed: bool = True):
         self.hist = [0] * (top + 1) if top < _LIST_HISTOGRAM_LIMIT else defaultdict(int)
@@ -129,14 +130,22 @@ class _Tally:
         self.waiting: defaultdict[tuple[int, frozenset[int]], list[bytes]] = defaultdict(list)
         self.size = self.flushes = self.passes = self.leaves = 0
 
-    def add(self, heads: bytes, data: bytes, values: frozenset[int]) -> None:
-        """Queue ``data``, whose distinct values are ``values``, once for
-        each head distance byte in ``heads``: the heads at one distance
-        queue ``data`` repeated, in pieces that fill at most the room left
-        under _FLUSH_BYTES (one copy if ``data`` is longer). The queue is
-        flushed once it has no room for another copy, so a piece that
-        fills it is counted as it stands, without a join."""
+    def add(self, heads: bytes | list[int], data: bytes | list[int]) -> None:
+        """Tally ``data`` once for each head distance in ``heads``. When
+        ``packed``, the heads at one distance queue ``data`` repeated, in
+        pieces that fill at most the room left under _FLUSH_BYTES (one copy
+        if ``data`` is longer). The queue is flushed once it has no room for
+        another copy, so a piece that fills it is counted as it stands,
+        without a join."""
         length = len(data)
+        if not self.packed:
+            hist = self.hist
+            for d in heads:
+                for t in data:
+                    hist[d + t] += 1
+            self.leaves += len(heads) * length
+            return
+        values = frozenset(data)
         for d in set(heads):
             copies = heads.count(d)
             while copies:
@@ -228,8 +237,8 @@ def _group_suffix(metric: MetricId, k: int) -> bytes:
 def _walk_costs(metric: MetricId, n: int, packed: bool = True) -> _Tally:
     """l1, lp, Hamming and linf: value v at position i costs cost[i][v],
     and the distance folds the costs, by sum (max for linf). The head and
-    suffix lists are bytes when ``packed``; otherwise they are ints and the
-    sweep adds d + t entry by entry, which serves the sum metrics only."""
+    suffix lists are bytes when ``packed``; otherwise they are ints, which
+    serves the sum metrics only."""
     cost = _position_costs(metric, n)
     fold = max if metric.kind == "linf" else sum
     top = fold(map(max, cost))
@@ -238,86 +247,43 @@ def _walk_costs(metric: MetricId, n: int, packed: bool = True) -> _Tally:
     split = _split(n)
     build = _arrangement_lists(cost, fold, packed)
     tally = _Tally(top, fold, packed)
-    hist = tally.hist
     for placed in combinations(range(n), split):
         heads = build(0, placed)
         suffix = build(split, tuple(v for v in range(n) if v not in placed))
-        if packed:
-            tally.add(heads, suffix, frozenset(suffix))
-        else:
-            for d in heads:
-                for t in suffix:
-                    hist[d + t] += 1
-            tally.leaves += len(heads) * len(suffix)
+        tally.add(heads, suffix)
     return tally
 
 
-def _walk_kendall(metric: MetricId, n: int) -> _Tally:
-    """Kendall: the inversion tables (Lehmer codes) c_i in 0..n-1-i list
-    S_n once each, and a permutation has sum(c) inversions. Placing the
-    j-th smallest unplaced value opens j inversions, one with each smaller
-    value still to come, so the head codes c_0..c_(split-1) sum to the
-    head's inversions and every head shares one suffix list."""
-    split = _split(n)
-    suffix = _group_suffix(metric, n - split)
-    tally = _Tally(n * (n - 1) // 2, sum)
-    heads = bytes(map(sum, product(*map(range, range(n, n - split, -1)))))
-    tally.add(heads, suffix, frozenset(suffix))
+# The cost of each of the i places of value i in an insertion code, by
+# kind; see the note on the oracle's sweep.
+_STEPS = {
+    "kendall": range,
+    "cayley": lambda i: (0,) + (1,) * (i - 1),
+}
+
+
+def _walk_codes(metric: MetricId, n: int) -> _Tally:
+    """Kendall and Cayley: the first k insertions, a permutation of S_k,
+    are the suffix list shared by every head; the heads are the codes of
+    the values k+1..n, each at the sum of its step costs, all queued in one
+    add."""
+    step = _STEPS[metric.kind]
+    k = n - _split(n)
+    suffix = _group_suffix(metric, k)
+    tally = _Tally(sum(max(step(i)) for i in range(1, n + 1)), sum)
+    heads = bytes(map(sum, product(*map(step, range(k + 1, n + 1)))))
+    tally.add(heads, suffix)
     return tally
 
 
-def _walk_cayley(metric: MetricId, n: int) -> _Tally:
-    """Cayley: the placed edges i -> w(i) form disjoint paths and cycles,
-    and the distance is n minus the number of cycles. Placing v at
-    position i closes a cycle (step 0) when v starts the path that ends at
-    i; otherwise it joins that path to the one starting at v (step 1). Each
-    step reads the paths built so far, so the head is walked depth first.
-
-    At ``split`` each open path starts at a value in ``rem`` and ends at an
-    open position, so an arrangement a of ``rem`` closes them into the
-    cycles of p -> end[a(p)]. As a runs over every arrangement, that map
-    runs over S_k once each, so every head shares one suffix list. The
-    last head position reads no path after its step, so it appends the
-    head distances of all its values at once, and the sweep queues every
-    head in one add."""
-    start = list(range(n))  # start[e]: the first vertex of the path ending at e
-    end = list(range(n))  # end[s]: the last vertex of the path starting at s
-    split = _split(n)
-    suffix = _group_suffix(metric, n - split)
-    tally = _Tally(n - 1, sum)
-    heads = bytearray()
-
-    def walk(i: int, d: int, rem: tuple[int, ...]) -> None:
-        s = start[i]
-        if i == split - 1:
-            heads.extend([d + (v != s) for v in rem])
-            return
-        for j, v in enumerate(rem):
-            rest = rem[:j] + rem[j + 1 :]
-            if v == s:
-                walk(i + 1, d, rest)
-                continue
-            e = end[v]
-            start[e], end[s] = s, e
-            walk(i + 1, d + 1, rest)
-            start[e], end[s] = v, i
-
-    if split:
-        walk(0, 0, tuple(range(n)))
-    else:  # n = 1: the empty head
-        heads.append(0)
-    tally.add(bytes(heads), suffix, frozenset(suffix))
-    return tally
-
-
-# lp with p >= 2 loops over its suffix entries; see the note on byte lists.
+# lp with p >= 2 tallies entry by entry; see the note on byte lists.
 _WALKS = {
     "l1": _walk_costs,
     "lp": partial(_walk_costs, packed=False),
     "hamming": _walk_costs,
     "linf": _walk_costs,
-    "kendall": _walk_kendall,
-    "cayley": _walk_cayley,
+    "kendall": _walk_codes,
+    "cayley": _walk_codes,
 }
 
 
@@ -343,11 +309,11 @@ def _sweep_group(metric: MetricId, n: int) -> dict[int, int]:
     return hist
 
 
-def group_histogram(metric: MetricId, n: int) -> dict[int, int]:
-    """Distance histogram of all of S_n (the oracle's sweep)."""
+def group_histogram(metric: MetricId, n: int, *, cap: int = DEFAULT_MAX_DEGREE) -> dict[int, int]:
+    """Distance histogram of all of S_n (the oracle's sweep), for n <= cap."""
     if n < 1:
         raise ValueError("n must be positive")
-    check_cap(n)
+    check_cap(n, cap)
     return _sweep_group(metric, n)
 
 
@@ -441,18 +407,18 @@ def connected_histogram(metric: MetricId, m: int) -> dict[int, int]:
 # -- oracle ---------------------------------------------------------------
 
 
-def oracle_sphere(metric: MetricId, n: int, radius: int) -> int:
+def oracle_sphere(metric: MetricId, n: int, radius: int, *, cap: int = DEFAULT_MAX_DEGREE) -> int:
     """Exact #{u in S_n : D(u) = radius} by exhaustive enumeration."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    return group_histogram(metric, n).get(radius, 0)
+    return group_histogram(metric, n, cap=cap).get(radius, 0)
 
 
-def oracle_ball(metric: MetricId, n: int, radius: int) -> int:
+def oracle_ball(metric: MetricId, n: int, radius: int, *, cap: int = DEFAULT_MAX_DEGREE) -> int:
     """Exact #{u in S_n : D(u) <= radius} by exhaustive enumeration."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    return sum(c for d, c in group_histogram(metric, n).items() if d <= radius)
+    return sum(c for d, c in group_histogram(metric, n, cap=cap).items() if d <= radius)
 
 
 # -- the beta tables ------------------------------------------------------
@@ -690,7 +656,8 @@ class CountReport:
 
 
 def count_report(
-    metric: MetricId, n: int, radius: int, *, ball: bool = False, method: str = "pipeline"
+    metric: MetricId, n: int, radius: int, *, ball: bool = False, method: str = "pipeline",
+    cap: int = DEFAULT_MAX_DEGREE,
 ) -> CountReport:
     """Run the requested counting method(s) and package the result."""
     if method not in ("pipeline", "oracle", "both"):
@@ -701,5 +668,5 @@ def count_report(
         pipeline = fn(metric, n, radius)
     if method in ("oracle", "both"):
         fn = oracle_ball if ball else oracle_sphere
-        oracle = fn(metric, n, radius)
+        oracle = fn(metric, n, radius, cap=cap)
     return CountReport(metric.name, n, radius, pipeline, oracle)

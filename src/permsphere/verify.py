@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .enumeration import (
+    DEFAULT_MAX_DEGREE,
     attainable_radii,
     beta,
     check_cap,
@@ -162,11 +163,11 @@ def printed_polynomial(k: int) -> BinomialPoly:
     return BinomialPoly(PRINTED_SPHERE_POLYS[k], "l1", 2 * k)
 
 
-def _oracle_vs_pipeline(report: VerifyReport, metric, n: int, radii) -> None:
+def _oracle_vs_pipeline(report: VerifyReport, metric, n: int, radii, cap: int) -> None:
     bad = []
     for r in radii:
-        ps, os_ = pipeline_sphere(metric, n, r), oracle_sphere(metric, n, r)
-        pb, ob = pipeline_ball(metric, n, r), oracle_ball(metric, n, r)
+        ps, os_ = pipeline_sphere(metric, n, r), oracle_sphere(metric, n, r, cap=cap)
+        pb, ob = pipeline_ball(metric, n, r), oracle_ball(metric, n, r, cap=cap)
         if ps != os_ or pb != ob:
             bad.append(f"R={r}: sphere {ps}/{os_}, ball {pb}/{ob}")
     report.add(
@@ -180,18 +181,20 @@ def _oracle_vs_pipeline(report: VerifyReport, metric, n: int, radii) -> None:
     )
 
 
-def run_verify(max_n: int = 6, max_k: int = 6, include_printed_p6: bool = False) -> VerifyReport:
+def run_verify(
+    max_n: int = 6, max_k: int = 6, include_printed_p6: bool = False, *, cap: int = DEFAULT_MAX_DEGREE
+) -> VerifyReport:
     if max_n < 2:
         raise ValueError(f"max_n must be at least 2, got {max_n}")
     if max_k < 1:
         raise ValueError(f"max_k must be at least 1, got {max_k}")
-    check_cap(max_n)
+    check_cap(max_n, cap)
     report = VerifyReport()
 
     # pipeline vs oracle, l1 and Kendall
     for n in range(2, max_n + 1):
-        _oracle_vs_pipeline(report, L1, n, list(attainable_radii(L1, max_l1(n))))
-        _oracle_vs_pipeline(report, KENDALL, n, list(range(1, n * (n - 1) // 2 + 1)))
+        _oracle_vs_pipeline(report, L1, n, list(attainable_radii(L1, max_l1(n))), cap)
+        _oracle_vs_pipeline(report, KENDALL, n, list(range(1, n * (n - 1) // 2 + 1)), cap)
 
     # published polynomials, k = 1..5 termwise
     for k in range(1, min(5, max_k) + 1):
@@ -227,7 +230,7 @@ def run_verify(max_n: int = 6, max_k: int = 6, include_printed_p6: bool = False)
             )
         )
         if include_printed_p6:
-            oracle_n7 = oracle_sphere(L1, 7, 12)
+            oracle_n7 = oracle_sphere(L1, 7, 12, cap=cap)
             pipeline_n7 = pipeline_sphere(L1, 7, 12)
             printed_n7 = printed.evaluate(7)
             values = {
@@ -353,7 +356,7 @@ def run_verify(max_n: int = 6, max_k: int = 6, include_printed_p6: bool = False)
     bad = []
     for n in range(2, max_n + 1):
         for j in range(n + 1):
-            if hamming_sphere(n, j) != oracle_sphere(HAMMING, n, j):
+            if hamming_sphere(n, j) != oracle_sphere(HAMMING, n, j, cap=cap):
                 bad.append(f"(n={n},j={j})")
     report.add(
         _mismatch_check(
@@ -370,11 +373,11 @@ def run_verify(max_n: int = 6, max_k: int = 6, include_printed_p6: bool = False)
         if m > max_n:
             continue
         got = max_l1(m)
-        brute = max(group_histogram(L1, m))
+        brute = max(group_histogram(L1, m, cap=cap))
         if got != expected or brute != expected:
             bad.append(f"m={m}: closed {got}, brute {brute}, expected {expected}")
-        if m in MAX_L1_SPHERE and oracle_sphere(L1, m, expected) != MAX_L1_SPHERE[m]:
-            bad.append(f"m={m}: maximizers {oracle_sphere(L1, m, expected)} vs {MAX_L1_SPHERE[m]}")
+        if m in MAX_L1_SPHERE and oracle_sphere(L1, m, expected, cap=cap) != MAX_L1_SPHERE[m]:
+            bad.append(f"m={m}: maximizers {oracle_sphere(L1, m, expected, cap=cap)} vs {MAX_L1_SPHERE[m]}")
     report.add(
         _mismatch_check(
             "max-l1-distances", "maximal l1 distance table and maximizer counts", "oracle", bad

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from permsphere import enumeration, growth
+from permsphere import L1, count_report, enumeration, growth, oracle_sphere
 from permsphere.cli import main
 from permsphere.metrics import MetricId
 
@@ -255,7 +255,6 @@ class TestVerify:
 
     def test_over_cap_fails_before_sweeping(self, capsys, monkeypatch):
         swept = []
-        monkeypatch.setattr(enumeration, "_max_degree", 12)
         monkeypatch.setattr(enumeration, "_sweep_group", lambda metric, n: swept.append(n) or {})
         code = main(["verify", "--max-n", "13"])
         captured = capsys.readouterr()
@@ -272,8 +271,7 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == "" and captured.err == f"error: {message}\n"
 
-    def test_lowered_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr(enumeration, "_max_degree", enumeration._max_degree)
+    def test_lowered_cap(self, capsys):
         code = main(["--max-enum-degree", "4", "verify", "--max-n", "5"])
         captured = capsys.readouterr()
         assert code == 1
@@ -286,8 +284,7 @@ class TestOptions:
         captured = capsys.readouterr()
         assert code == 1 and captured.err == "error: --max-enum-degree: cap must be positive\n"
 
-    def test_max_enum_degree_after_subcommand(self, capsys, monkeypatch):
-        monkeypatch.setattr(enumeration, "_max_degree", enumeration._max_degree)
+    def test_max_enum_degree_after_subcommand(self, capsys):
         code, out = run(capsys, "sphere", "--metric", "l1", "--n", "5", "--radius", "4",
                         "--method", "oracle", "--max-enum-degree", "12")
         assert code == 0 and out == "oracle: 12\n"
@@ -296,14 +293,21 @@ class TestOptions:
         assert code == 1
         assert captured.err == "error: enumerating S_5 exceeds the configured cap of 4\n"
 
-    def test_max_enum_degree_lasts_one_call(self, capsys, monkeypatch):
-        monkeypatch.setattr(enumeration, "_max_degree", enumeration._max_degree)
+    def test_max_enum_degree_lasts_one_call(self, capsys):
         code, out = run(capsys, "--max-enum-degree", "5", "sphere", "--metric", "l1", "--n", "4",
                         "--radius", "4", "--method", "oracle")
         assert code == 0 and out == "oracle: 7\n"
         code, out = run(capsys, "sphere", "--metric", "l1", "--n", "7", "--radius", "4",
                         "--method", "oracle")
         assert code == 0 and out == "oracle: 25\n"
+
+    # The cap is an argument of the call, not a setting of the module, so a
+    # command that sweeps nothing leaves no lowered cap behind either.
+    def test_max_enum_degree_leaves_the_library_uncapped(self, capsys):
+        assert main(["--max-enum-degree", "4", "dist", "--metric", "l1", "--perm", "2 1"]) == 0
+        assert capsys.readouterr().out == "2\n"
+        assert oracle_sphere(L1, 5, 4) == 12
+        assert count_report(L1, 5, 4, method="oracle").oracle_count == 12
 
     def test_log_level_after_subcommand(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))

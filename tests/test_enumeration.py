@@ -62,6 +62,20 @@ SWEEP_METRICS = [
 ]
 
 
+def insert_kendall(word: tuple[int, ...], i: int, c: int) -> tuple[int, ...]:
+    """Put value i into a word of 1..i-1 with c values after it."""
+    cut = len(word) - c
+    return word[:cut] + (i,) + word[cut:]
+
+
+def insert_cayley(word: tuple[int, ...], i: int, c: int) -> tuple[int, ...]:
+    """Put value i into a word of 1..i-1 as a new cycle (c = 0), or after
+    value c in the cycle of c (word[j - 1] is the image of j)."""
+    if c == 0:
+        return word + (i,)
+    return word[: c - 1] + (i,) + word[c:] + (word[c - 1],)
+
+
 # The position-cost metrics with their fold and the cost of a value moved
 # by g places.
 COST_FOLDS = [
@@ -121,6 +135,14 @@ class TestOracle:
         with pytest.raises(EnumerationCapError, match="cap"):
             group_histogram(L1, 13)
 
+    # The cap is an argument of each call and outlives none of them.
+    def test_cap_is_an_argument(self):
+        with pytest.raises(EnumerationCapError, match="^enumerating S_5 exceeds the configured cap of 4$"):
+            oracle_ball(L1, 5, 4, cap=4)
+        with pytest.raises(EnumerationCapError, match="cap of 4"):
+            count_report(L1, 5, 4, method="oracle", cap=4)
+        assert oracle_sphere(L1, 5, 4, cap=5) == oracle_sphere(L1, 5, 4) == 12
+
     def test_large_sweep_warns_once(self, caplog, monkeypatch):
         from permsphere import enumeration
 
@@ -165,10 +187,11 @@ class TestOracle:
     # Every byte list waits under its head distance and the set of values it
     # holds, so each count pass finds at least one entry, and a flush makes
     # one pass per value of each key. Flushing at every node as well as once
-    # at the end keeps that true for each head's own list.
+    # at the end keeps that true for each head's own list. lp tallies each
+    # list as it is added, so nothing of it waits for a flush.
     @pytest.mark.parametrize("flush_bytes", [1 << 20, 1])
     @pytest.mark.parametrize("n", range(1, 9))
-    @pytest.mark.parametrize("name", ["l1", "hamming", "linf", "kendall", "cayley"])
+    @pytest.mark.parametrize("name", ["l1", "lp:2", "hamming", "linf", "kendall", "cayley"])
     def test_every_queued_list_holds_each_value_of_its_key(self, name, n, flush_bytes, monkeypatch):
         metric = MetricId.parse(name)
         expected = group_histogram(metric, n)
@@ -187,7 +210,8 @@ class TestOracle:
         monkeypatch.setattr(enumeration._Tally, "flush", spy)
         tally = enumeration._WALKS[metric.kind](metric, n)
         assert tally.counts() == expected
-        assert len(flushed) == tally.flushes >= 1
+        assert len(flushed) == tally.flushes
+        assert tally.flushes >= 1 if tally.packed else tally.flushes == 0
 
     # The debug line names the tally path and counts the flushes, the
     # bytes.count passes and the leaves, one per permutation. A byte sweep
@@ -216,20 +240,20 @@ class TestOracle:
         assert message.endswith(tail)
 
     # A sweep counts one leaf per permutation, whether it flushes once at
-    # the end or after every piece, and no queued piece outgrows the flush
-    # size unless one suffix list does.
+    # the end or after every piece, or tallies lp entry by entry, and no
+    # queued piece outgrows the flush size unless one suffix list does.
     @pytest.mark.parametrize("flush_bytes", [1 << 20, 1])
     @pytest.mark.parametrize("n", range(1, 9))
-    @pytest.mark.parametrize("name", ["l1", "hamming", "linf", "kendall", "cayley"])
+    @pytest.mark.parametrize("name", ["l1", "lp:2", "hamming", "linf", "kendall", "cayley"])
     def test_a_sweep_counts_one_leaf_per_permutation(self, name, n, flush_bytes, monkeypatch):
         metric = MetricId.parse(name)
         monkeypatch.setattr(enumeration, "_FLUSH_BYTES", flush_bytes)
         add, flush = enumeration._Tally.add, enumeration._Tally.flush
         bound = [flush_bytes]
 
-        def spy_add(tally, heads, data, values):
+        def spy_add(tally, heads, data):
             bound[0] = max(bound[0], len(data))
-            add(tally, heads, data, values)
+            add(tally, heads, data)
 
         def spy_flush(tally):
             assert all(len(piece) <= bound[0] for lists in tally.waiting.values() for piece in lists)
@@ -240,6 +264,15 @@ class TestOracle:
         tally = enumeration._WALKS[metric.kind](metric, n)
         tally.counts()
         assert tally.leaves == math.factorial(n)
+
+    # The tally alone counts leaves, for every walker, so a sweep whose
+    # adds tally each permutation twice is refused.
+    @pytest.mark.parametrize("name", ["l1", "lp:2", "hamming", "linf", "kendall", "cayley"])
+    def test_a_sweep_that_miscounts_its_leaves_raises(self, name, fresh_sweeps, monkeypatch):
+        add = enumeration._Tally.add
+        monkeypatch.setattr(enumeration._Tally, "add", lambda tally, *args: add(tally, *args) or add(tally, *args))
+        with pytest.raises(ArithmeticError, match="counted 240 leaves, not 120"):
+            group_histogram(MetricId.parse(name), 5)
 
     # Kendall and Cayley queue all their heads in one add, one head
     # distance byte per head (n! / k! of them), and each head paired with
@@ -253,10 +286,10 @@ class TestOracle:
         monkeypatch.setattr(enumeration._Tally, "add", lambda tally, *args: added.append(args))
         metric = MetricId(name)
         enumeration._WALKS[metric.kind](metric, n)
-        [(heads, data, values)] = added
+        [(heads, data)] = added
         k = n - _split(n)
         assert type(heads) is bytes and len(heads) == math.factorial(n) // math.factorial(k)
-        assert data == _group_suffix(metric, k) and values == set(data)
+        assert data == _group_suffix(metric, k)
         assert Counter(d + t for d in heads for t in data) == word_histogram(dist, n)
 
     # Each suffix list holds one distance per arrangement of the values left
@@ -321,12 +354,34 @@ class TestOracle:
         expected = [dist(w) for w in words(k)]
         assert list(_group_suffix(MetricId(name), k)) == expected
 
-    @pytest.mark.parametrize("n", range(1, 10))
+    # Every code (c_1..c_n) with c_i in range(i), decoded by the insertion
+    # rule of its metric, is a distinct word whose distance is the sum of
+    # the module's step costs for that code.
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize(
+        "name, insert, dist",
+        [("kendall", insert_kendall, word_inversions), ("cayley", insert_cayley, word_cayley)],
+        ids=["kendall", "cayley"],
+    )
+    def test_insertion_codes_list_s_n_at_the_sum_of_their_steps(self, name, insert, dist, n):
+        step = enumeration._STEPS[name]
+        assert [len(step(i)) for i in range(1, n + 1)] == list(range(1, n + 1))
+        seen = set()
+        for code in itertools.product(*map(range, range(1, n + 1))):
+            word = ()
+            for i, c in enumerate(code, 1):
+                word = insert(word, i, c)
+            assert dist(word) == sum(step(i)[c] for i, c in enumerate(code, 1))
+            seen.add(word)
+        assert len(seen) == math.factorial(n)
+
+    # At n = 11 the byte queue flushes many times (over 10 MB of leaves).
+    @pytest.mark.parametrize("n", range(1, 12))
     def test_kendall_is_mahonian(self, n):
         assert group_histogram(KENDALL, n) == dict(enumerate(mahonian(n)))
 
     # n = 10 is the first size whose suffix list has 120 entries (k = 5)
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, 12))
     def test_cayley_is_stirling_first_kind(self, n):
         # distance n - k for the permutations with k cycles
         cycles = stirling_cycles(n)
@@ -363,10 +418,8 @@ class TestConnectedBase:
         with pytest.raises(ValueError, match="no split-type pipeline for hamming"):
             connected_histogram(HAMMING, 3)
 
-    def test_never_capped(self, monkeypatch):
-        from permsphere import enumeration
-
-        monkeypatch.setattr(enumeration, "_max_degree", 4)
+    # S_14 is above the oracle's default cap of 12
+    def test_never_capped(self):
         connected_histogram.cache_clear()
         assert sum(connected_histogram(L1, 14).values()) == A003319[12]
 
