@@ -370,18 +370,24 @@ def _kendall_connected(m: int) -> dict[int, int]:
     return {d: c for d, c in enumerate(total) if c}
 
 
-# The split-type pipeline's metrics: each adds over concatenation, and a
-# connected part of degree m lies at distance at least step * (m - 1), which
-# bounds the parts of a split type inside a ball. Per kind: the step, which is
-# also the gap between attainable radii, and the connected base.
-_PIPELINES = {"l1": (2, _l1_connected), "kendall": (1, _kendall_connected)}
+# The split-type pipeline's routes, per kind: (step, connected base,
+# farthest). Each metric adds over concatenation, and a connected part of
+# degree m lies at distance at least step * (m - 1), which bounds the parts of
+# a split type inside a ball; the step is also the gap between attainable
+# radii. farthest(m) is the largest distance in S_m, 0 at m = 0, and
+# farthest(a) + farthest(b) <= farthest(a + b), so it also bounds the
+# distance of a whole split type of degree m.
+_ROUTES = {
+    "l1": (2, _l1_connected, lambda m: m * m // 2),
+    "kendall": (1, _kendall_connected, lambda m: m * (m - 1) // 2),
+}
 
 
-def _pipeline(metric: MetricId) -> tuple[int, Callable[[int], dict[int, int]]]:
+def _route(metric: MetricId) -> tuple[int, Callable[[int], dict[int, int]], Callable[[int], int]]:
     try:
-        return _PIPELINES[metric.kind]
+        return _ROUTES[metric.kind]
     except KeyError:
-        raise ValueError(f"no split-type pipeline for {metric.name}; l1 and kendall only") from None
+        raise ValueError(f"no split-type pipeline for {metric.name}; {' and '.join(_ROUTES)} only") from None
 
 
 @cache
@@ -392,7 +398,7 @@ def connected_histogram(metric: MetricId, m: int) -> dict[int, int]:
     Degree-1 words never occur as split-type parts, so m < 2 yields an
     empty histogram.
     """
-    base = _pipeline(metric)[1]
+    base = _route(metric)[1]
     if m < 2:
         return {}
     began = time.perf_counter()
@@ -425,16 +431,8 @@ def oracle_ball(metric: MetricId, n: int, radius: int, *, cap: int = DEFAULT_MAX
 
 
 def radius_step(metric: MetricId) -> int:
-    """Gap between attainable sphere radii: 2 for l1 (parity), 1 for Kendall."""
-    return _pipeline(metric)[0]
-
-
-def _widest(step: int, m: int) -> int:
-    """A bound on the distance of a split type of degree m: step * m(m-1)/2.
-    For Kendall that is the most inversions in S_m; for l1 it is m(m-1),
-    which is at least the largest l1 distance in S_m, floor(m^2 / 2), for
-    every m >= 2. Either bound adds up over the parts."""
-    return step * m * (m - 1) // 2
+    """Gap between attainable sphere radii: the step of the metric's route."""
+    return _route(metric)[0]
 
 
 def attainable_radii(metric: MetricId, max_radius: int) -> range:
@@ -461,7 +459,7 @@ class BetaTable:
 
     def __init__(self, metric: MetricId):
         self.metric = metric
-        self.step = radius_step(metric)
+        self.step, _, self.farthest = _route(metric)
 
     def beta(self, radius: int, m: int, q: int) -> int:
         # the empty split type (q = 0) seeds the rows but is no beta cell
@@ -475,7 +473,7 @@ class BetaTable:
         row: dict[int, int] = {}
         for m1 in range(2, min(m, radius // self.step + 1) + 1):
             hist = connected_histogram(self.metric, m1)
-            reach = min(radius, _widest(self.step, m1))
+            reach = min(radius, self.farthest(m1))
             for r1 in range(self.step * (m1 - 1), reach + 1, self.step):
                 count = hist.get(r1)
                 if count:
@@ -537,7 +535,7 @@ def ball_terms(metric: MetricId, radius: int, top: int | None = None) -> Terms:
         raise ValueError("radius must be nonnegative")
     if top is not None:
         # no split type with m <= top lies farther out
-        radius = min(radius, _widest(radius_step(metric), top))
+        radius = min(radius, _route(metric)[2](top))
     acc: dict[tuple[int, int], int] = {}
     for r in (0, *attainable_radii(metric, radius)):
         for c, m, q in sphere_terms(metric, r, top):

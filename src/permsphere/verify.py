@@ -163,7 +163,9 @@ def printed_polynomial(k: int) -> BinomialPoly:
     return BinomialPoly(PRINTED_SPHERE_POLYS[k], "l1", 2 * k)
 
 
-def _oracle_vs_pipeline(report: VerifyReport, metric, n: int, radii, cap: int) -> None:
+def _oracle_vs_pipeline(report: VerifyReport, metric, n: int, cap: int) -> None:
+    # every nonzero radius up to the farthest distance the oracle's sweep reached
+    radii = attainable_radii(metric, max(group_histogram(metric, n, cap=cap)))
     bad = []
     for r in radii:
         ps, os_ = pipeline_sphere(metric, n, r), oracle_sphere(metric, n, r, cap=cap)
@@ -176,7 +178,7 @@ def _oracle_vs_pipeline(report: VerifyReport, metric, n: int, radii, cap: int) -
             "sphere and ball counts: split-type sum vs exhaustive count",
             "oracle",
             bad,
-            radii=str(len(list(radii))),
+            radii=str(len(radii)),
         )
     )
 
@@ -188,13 +190,14 @@ def run_verify(
         raise ValueError(f"max_n must be at least 2, got {max_n}")
     if max_k < 1:
         raise ValueError(f"max_k must be at least 1, got {max_k}")
-    check_cap(max_n, cap)
+    # every degree the matrix sweeps: S_2..S_max_n, and S_7 for the disputed cell
+    check_cap(max(max_n, 7) if include_printed_p6 and max_k >= 6 else max_n, cap)
     report = VerifyReport()
 
     # pipeline vs oracle, l1 and Kendall
     for n in range(2, max_n + 1):
-        _oracle_vs_pipeline(report, L1, n, list(attainable_radii(L1, max_l1(n))), cap)
-        _oracle_vs_pipeline(report, KENDALL, n, list(range(1, n * (n - 1) // 2 + 1)), cap)
+        for metric in (L1, KENDALL):
+            _oracle_vs_pipeline(report, metric, n, cap)
 
     # published polynomials, k = 1..5 termwise
     for k in range(1, min(5, max_k) + 1):

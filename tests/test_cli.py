@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from permsphere import L1, count_report, enumeration, growth, oracle_sphere
+from permsphere import L1, count_report, enumeration, growth, oracle_sphere, verify
 from permsphere.cli import main
+from permsphere.enumeration import EnumerationCapError
 from permsphere.metrics import MetricId
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -260,6 +261,26 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == "" and swept == []
         assert captured.err == "error: enumerating S_13 exceeds the configured cap of 12\n"
+
+    # with the disputed cell the matrix also sweeps S_7, above a cap of 6
+    def test_disputed_cell_over_cap_fails_before_sweeping(self, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("an oracle sweep ran before the cap check")
+
+        for entry in ("group_histogram", "oracle_sphere", "oracle_ball"):
+            monkeypatch.setattr(verify, entry, sweep)
+        with pytest.raises(EnumerationCapError, match="enumerating S_7 exceeds the configured cap of 6"):
+            verify.run_verify(6, 6, True, cap=6)
+
+    def test_disputed_cell_needs_k6(self):
+        report = verify.run_verify(6, 5, True, cap=6)
+        assert report.ok and "printed-polynomial-k6-disputed-cell" not in {c.name for c in report.checks}
+
+    def test_disputed_cell_over_cap_is_one_line(self, capsys):
+        code = main(["--max-enum-degree", "6", "verify", "--max-n", "6", "--max-k", "6", "--include-printed-p6"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: enumerating S_7 exceeds the configured cap of 6\n"
 
     @pytest.mark.parametrize("max_n, max_k, message", [
         ("0", "-1", "max_n must be at least 2, got 0"),

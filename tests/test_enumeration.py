@@ -25,7 +25,7 @@ from permsphere.enumeration import (
     EnumerationCapError,
     _group_suffix,
     _split,
-    _widest,
+    _route,
     attainable_radii,
     connected_histogram,
     group_histogram,
@@ -456,9 +456,20 @@ class TestBeta:
         assert beta(L1, 12, 8, 2) == 405
         assert beta(L1, 12, 7, 2) == 72
 
+    # every entry point of the pipeline refuses a metric without a route, with
+    # one message that names the routes there are
     def test_non_additive_refused(self):
-        with pytest.raises(ValueError, match="no split-type pipeline for hamming"):
-            BetaTable(HAMMING)
+        entries = (
+            BetaTable,
+            lambda metric: connected_histogram(metric, 3),
+            radius_step,
+            lambda metric: pipeline_sphere(metric, 5, 2),
+        )
+        for name in ("hamming", "cayley", "linf", "lp:2"):
+            for entry in entries:
+                with pytest.raises(ValueError) as refused:
+                    entry(MetricId.parse(name))
+                assert str(refused.value) == f"no split-type pipeline for {name}; l1 and kendall only"
 
     @pytest.mark.parametrize("metric", [L1, KENDALL], ids=["l1", "kendall"])
     def test_single_parts_come_through_the_empty_split_type(self, metric):
@@ -531,8 +542,8 @@ class TestPipeline:
         assert pipeline_ball(L1, 4, 4) == 11
         assert pipeline_ball(L1, 6, 2) == 6
 
-    # no split type of degree m lies beyond _widest(step, m), so a huge
-    # radius walks no further than that
+    # no split type of degree m lies beyond the route's farthest(m), so a
+    # huge radius walks no further than that
     def test_huge_radius_with_small_n(self):
         assert pipeline_ball(L1, 3, 10**9) == 6
         assert pipeline_sphere(KENDALL, 3, 10**9) == 0
@@ -543,8 +554,24 @@ class TestPipeline:
 
     @pytest.mark.parametrize("metric", [L1, KENDALL], ids=["l1", "kendall"])
     def test_connected_parts_lie_within_the_widest_split_type(self, metric):
+        farthest = _route(metric)[2]
         for m in range(2, 13):
-            assert max(connected_histogram(metric, m)) <= _widest(radius_step(metric), m)
+            assert max(connected_histogram(metric, m)) <= farthest(m)
+
+    @pytest.mark.parametrize("metric", [L1, KENDALL], ids=["l1", "kendall"])
+    def test_farthest_is_the_largest_distance_in_the_group(self, metric):
+        farthest = _route(metric)[2]
+        assert farthest(0) == 0
+        for m in range(1, 10):
+            assert farthest(m) == max(group_histogram(metric, m))
+
+    # the parts of a split type together lie no farther than farthest(m)
+    @pytest.mark.parametrize("metric", [L1, KENDALL], ids=["l1", "kendall"])
+    def test_farthest_is_superadditive(self, metric):
+        farthest = _route(metric)[2]
+        for a in range(61):
+            for b in range(61):
+                assert farthest(a) + farthest(b) <= farthest(a + b)
 
     def test_oracle_equivalence_small(self):
         for n in range(2, 7):
