@@ -19,13 +19,12 @@ import logging
 import math
 import time
 from collections import defaultdict
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 from functools import cache, partial
 from itertools import chain, combinations, permutations, product
-from typing import Callable, Iterable
 
 from .metrics import KENDALL, MetricId, distance_to_identity
-from .perm import Permutation, guarded_binom
+from .perm import Frozen, Permutation, guarded_binom
 
 log = logging.getLogger(__name__)
 
@@ -586,24 +585,28 @@ def expand_terms(terms: Terms) -> tuple[tuple[int, ...], int]:
 def _pipeline_form(
     metric: MetricId, radius: int, top: int, ball: bool
 ) -> tuple[tuple[int, ...], int]:
-    """expand_terms of the sphere or ball terms with m <= top."""
+    """expand_terms of the sphere or ball terms with m <= top, its
+    coefficients highest degree first, as Horner's rule reads them."""
     began = time.perf_counter()
     terms = (ball_terms if ball else sphere_terms)(metric, radius, top)
-    form = expand_terms(terms)
+    a, denominator = expand_terms(terms)
     log.debug(
         "pipeline %s form at radius %d, m <= %d, under %s: %d terms of degree %d in %.3f s",
         "ball" if ball else "sphere", radius, top, metric.name, len(terms),
-        len(form[0]) - 1, time.perf_counter() - began,
+        len(a) - 1, time.perf_counter() - began,
     )
-    return form
+    return a[::-1], denominator
 
 
 def _pipeline_count(metric: MetricId, n: int, radius: int, ball: bool) -> int:
+    # a warm query is little more than this body, so it makes no call that a
+    # comparison or the form's stored order can replace
     if n < 1:
         raise ValueError("n must be positive")
-    a, denominator = _pipeline_form(metric, radius, min(n, 2 * radius), ball)
+    top = 2 * radius
+    coefficients, denominator = _pipeline_form(metric, radius, n if n < top else top, ball)
     total = 0
-    for c in reversed(a):
+    for c in coefficients:
         total = total * n + c
     count, rest = divmod(total, denominator)
     if rest:
@@ -626,15 +629,24 @@ def pipeline_ball(metric: MetricId, n: int, radius: int) -> int:
 # -- reports --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(Frozen):
     """A pipeline count paired with an optional oracle count and verdict."""
 
+    __slots__ = ("metric", "n", "radius", "pipeline_count", "oracle_count")
     metric: str
     n: int
     radius: int
     pipeline_count: int | None
     oracle_count: int | None
+
+    def __init__(
+        self, metric: str, n: int, radius: int, pipeline_count: int | None, oracle_count: int | None
+    ) -> None:
+        object.__setattr__(self, "metric", metric)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "pipeline_count", pipeline_count)
+        object.__setattr__(self, "oracle_count", oracle_count)
 
     @property
     def match(self) -> bool | None:

@@ -12,30 +12,31 @@ and the guard never applies, so there the monomial form is the count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from .enumeration import ball_terms, evaluate_terms, expand_terms, sphere_terms
 from .metrics import L1, MetricId, max_l1
-from .perm import guarded_binom
+from .perm import Frozen, guarded_binom
 
 
 # closed_form_beta's answer for parameters outside every closed-form family.
 NOT_COVERED = None
 
 
-@dataclass(frozen=True)
-class BinomialPoly:
+class BinomialPoly(Frozen):
     """Sum of terms c * [n+q-m choose q]; coefficients are positive counts."""
 
+    __slots__ = ("terms", "metric", "radius")
     terms: tuple[tuple[int, int, int], ...]  # (coefficient, m, q), sorted by (q, m)
-    metric: str = "l1"
-    radius: int = 0
+    metric: str
+    radius: int
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, terms: tuple[tuple[int, int, int], ...], metric: str = "l1", radius: int = 0
+    ) -> None:
         cleaned = {}
-        for coef, m, q in self.terms:
+        for coef, m, q in terms:
             if coef < 0:
                 raise ValueError(f"negative coefficient {coef} at (m={m}, q={q})")
             if coef == 0:
@@ -47,6 +48,8 @@ class BinomialPoly:
             (cleaned[(m, q)], m, q) for (m, q) in sorted(cleaned, key=lambda mq: (mq[1], mq[0]))
         )
         object.__setattr__(self, "terms", ordered)
+        object.__setattr__(self, "metric", metric)
+        object.__setattr__(self, "radius", radius)
 
     @property
     def degree(self) -> int:
@@ -85,14 +88,14 @@ class BinomialPoly:
         }
 
 
-@dataclass(frozen=True)
-class RationalPoly:
+class RationalPoly(Frozen):
     """Monomial-basis polynomial with exact rational coefficients, ascending."""
 
+    __slots__ = ("coefficients",)
     coefficients: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
+    def __init__(self, coefficients: tuple[Fraction, ...]) -> None:
+        coeffs = tuple(Fraction(c) for c in coefficients)
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)

@@ -7,39 +7,47 @@ which makes every distance well defined on the infinite symmetric group.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
-from .perm import Permutation
+from .perm import Frozen, Permutation
 
 _KINDS = ("l1", "lp", "linf", "hamming", "cayley", "kendall")
+_INTERNED: dict[tuple[str, int | None], MetricId] = {}
 
 
-@dataclass(frozen=True)
-class MetricId:
-    """Identifier for one of the supported right-invariant metrics."""
+class MetricId(Frozen):
+    """Identifier for one of the supported right-invariant metrics.
 
+    There is one instance per metric: ``MetricId(kind, p)`` validates its
+    arguments and returns the interned instance, so equality and hashing are
+    the object defaults and a memo lookup on a metric costs no Python call.
+    A pickle rebuilds the metric from its fields, so it unpickles to the
+    interned instance in any process.
+    """
+
+    __slots__ = ("kind", "p")
     kind: str
-    p: int | None = None
+    p: int | None
+    # identity, not the record's field-wise comparison (see the docstring)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown metric kind {self.kind!r}; expected one of {_KINDS}")
-        if self.kind == "lp":
-            if self.p is None or self.p < 1:
+    def __new__(cls, kind: str, p: int | None = None) -> MetricId:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown metric kind {kind!r}; expected one of {_KINDS}")
+        if kind == "lp":
+            # exactly int: True and 2.0 would find lp:1 and lp:2 in the table
+            if type(p) is not int or p < 1:
                 raise ValueError("lp metric requires an integer exponent p >= 1")
-        elif self.p is not None:
-            raise ValueError(f"metric {self.kind!r} takes no exponent")
-        # Every memo lookup hashes its metric, so the field tuple is hashed
-        # once here rather than on each lookup.
-        object.__setattr__(self, "_hash", hash((self.kind, self.p)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuild from the fields: a string's hash differs between processes
-        return MetricId, (self.kind, self.p)
+        elif p is not None:
+            raise ValueError(f"metric {kind!r} takes no exponent")
+        metric = _INTERNED.get((kind, p))
+        if metric is None:
+            metric = object.__new__(cls)
+            object.__setattr__(metric, "kind", kind)
+            object.__setattr__(metric, "p", p)
+            metric = _INTERNED.setdefault((kind, p), metric)
+        return metric
 
     @property
     def name(self) -> str:
@@ -49,7 +57,7 @@ class MetricId:
         return self.name
 
     @classmethod
-    def parse(cls, text: str) -> "MetricId":
+    def parse(cls, text: str) -> MetricId:
         """Parse a wire name: l1, lp:<p>, linf, hamming, cayley, kendall.
 
         ``lp:1`` is the same metric as ``l1`` and is normalized to it.
@@ -72,9 +80,8 @@ KENDALL = MetricId("kendall")
 
 
 def lp(p: int) -> MetricId:
-    if p == 1:
-        return L1
-    return MetricId("lp", p)
+    metric = MetricId("lp", p)  # validates p
+    return L1 if p == 1 else metric
 
 
 # -- distance to the identity, on raw words -------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 
 def guarded_binom(i: int, j: int) -> int:
@@ -28,6 +27,51 @@ def guarded_binom(i: int, j: int) -> int:
     if i < 0:
         return 0
     return math.comb(i, j)
+
+
+class Record:
+    """Base of the package's record classes.
+
+    Each subclass lists its fields in ``__slots__``, in the order of its
+    constructor's arguments. Records of one class are equal when their fields
+    are, and their repr is a constructor call with the fields by name. A
+    plain record is mutable and unhashable.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Frozen(Record):
+    """A record whose constructor sets each field once, through
+    ``object.__setattr__``; it hashes by its fields and refuses assignment."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuild through the constructor, which validates and normalizes
+        return type(self), self._fields()
 
 
 def _validate_word(word: tuple[int, ...]) -> None:
@@ -43,14 +87,14 @@ def _validate_word(word: tuple[int, ...]) -> None:
         seen[v - 1] = True
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """A permutation given by its one-line word over 1..degree."""
 
+    __slots__ = ("word",)
     word: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        word = tuple(self.word)
+    def __init__(self, word: tuple[int, ...]) -> None:
+        word = tuple(word)
         _validate_word(word)
         object.__setattr__(self, "word", word)
 
@@ -175,19 +219,22 @@ class Permutation:
         return SplitType(parts)
 
 
-@dataclass(frozen=True)
-class SplitDecomposition:
+class SplitDecomposition(Frozen):
     """Ordered connected factors of a permutation, with the cut positions."""
 
+    __slots__ = ("parts", "cut_positions")
     parts: tuple[Permutation, ...]
     cut_positions: tuple[int, ...]
+
+    def __init__(self, parts: tuple[Permutation, ...], cut_positions: tuple[int, ...]) -> None:
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "cut_positions", cut_positions)
 
     def reassemble(self) -> Permutation:
         return concatenate(*self.parts)
 
 
-@dataclass(frozen=True)
-class SplitType:
+class SplitType(Frozen):
     """Concatenation of nontrivial connected permutations.
 
     ``m`` is its total degree (the smallest symmetric group containing it)
@@ -195,14 +242,16 @@ class SplitType:
     with m = q = 0.
     """
 
+    __slots__ = ("parts",)
     parts: tuple[Permutation, ...]
 
-    def __post_init__(self) -> None:
-        for p in self.parts:
+    def __init__(self, parts: tuple[Permutation, ...]) -> None:
+        for p in parts:
             if p.degree < 2:
                 raise ValueError(f"split type part {p.word} is trivial (degree < 2)")
             if not p.is_connected():
                 raise ValueError(f"split type part {p.word} is not connected")
+        object.__setattr__(self, "parts", parts)
 
     @property
     def m(self) -> int:

@@ -8,7 +8,6 @@ fatal).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .enumeration import (
@@ -34,7 +33,7 @@ from .growth import (
     to_rational,
 )
 from .metrics import HAMMING, KENDALL, L1, max_l1
-from .perm import guarded_binom
+from .perm import Record, guarded_binom
 
 MATCH = "match"
 MISMATCH = "mismatch"
@@ -105,18 +104,29 @@ MAX_L1_TABLE = {2: 2, 3: 4, 4: 8, 5: 12, 6: 18, 7: 24}
 MAX_L1_SPHERE = {4: 4, 5: 20, 6: 36, 7: 252}
 
 
-@dataclass
-class Check:
-    name: str
-    formula: str  # which identity or published value is being exercised
-    source: str  # printed value | closed form | convolution | oracle
-    values: dict[str, str] = field(default_factory=dict)
-    verdict: str = MATCH
+class Check(Record):
+    __slots__ = ("name", "formula", "source", "values", "verdict")
+
+    def __init__(
+        self,
+        name: str,
+        formula: str,  # which identity or published value is being exercised
+        source: str,  # printed value | closed form | convolution | oracle
+        values: dict[str, str] | None = None,
+        verdict: str = MATCH,
+    ) -> None:
+        self.name = name
+        self.formula = formula
+        self.source = source
+        self.values = {} if values is None else values
+        self.verdict = verdict
 
 
-@dataclass
-class VerifyReport:
-    checks: list[Check] = field(default_factory=list)
+class VerifyReport(Record):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[Check] | None = None) -> None:
+        self.checks = [] if checks is None else checks
 
     @property
     def ok(self) -> bool:

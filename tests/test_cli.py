@@ -358,3 +358,17 @@ class TestOptions:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 0 and proc.stdout == "2\n"
+
+    def test_cold_import_stays_lean(self):
+        # -S: no site hooks (.pth files) that import modules of their own;
+        # dataclasses pulls in inspect, ast, dis and tokenize, and @dataclass
+        # builds each class by exec, all at the cost of every command's start
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(SRC)!r})\n"
+            "import permsphere.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr

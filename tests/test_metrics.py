@@ -51,6 +51,32 @@ class TestMetricId:
         assert MetricId("lp", 2) != lp(3) and MetricId("l1") != MetricId("linf")
         assert {MetricId("kendall"): 1}[KENDALL] == 1
 
+    def test_one_object_per_metric(self):
+        for kind in ("l1", "linf", "hamming", "cayley", "kendall"):
+            assert MetricId.parse(kind) is MetricId(kind) is MetricId(kind=kind, p=None)
+        assert MetricId.parse("lp:2") is MetricId("lp", 2) is lp(2)
+        assert MetricId.parse(" Kendall ") is KENDALL
+
+    def test_frozen(self):
+        with pytest.raises(AttributeError):
+            L1.kind = "kendall"
+        with pytest.raises(AttributeError):
+            lp(2).p = 3
+        assert L1.kind == "l1" and lp(2).p == 2
+
+    def test_repr(self):
+        assert repr(L1) == "MetricId(kind='l1', p=None)"
+        assert repr(lp(3)) == "MetricId(kind='lp', p=3)"
+
+    @pytest.mark.parametrize("p", [2.5, 2.0, 1.0, True, False, "2", None, 0, -1])
+    def test_non_integer_exponent_refused(self, p):
+        # True and 2.0 equal 1 and 2 as dict keys, so they must not reach the
+        # intern table, where they would find lp:1 and lp:2
+        with pytest.raises(ValueError, match="integer exponent p >= 1"):
+            MetricId("lp", p)
+        with pytest.raises(ValueError, match="integer exponent p >= 1"):
+            lp(p)
+
     def test_unpickled_in_another_process_hashes_equal(self):
         # the child hashes strings with another seed, so a hash carried
         # through the pickle would no longer match a fresh instance there
@@ -60,6 +86,7 @@ class TestMetricId:
             "from permsphere.metrics import KENDALL, lp\n"
             "got = pickle.loads(sys.stdin.buffer.read())\n"
             "assert {lp(2): 0, KENDALL: 1}[got[1]] == 1 and hash(got[0]) == hash(lp(2))\n"
+            "assert got[1] is KENDALL and got[0] is lp(2)\n"
         )
         env = {**os.environ, "PYTHONHASHSEED": "12345",
                "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
