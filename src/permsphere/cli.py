@@ -25,29 +25,17 @@ def _emit_rows(
         out = io.StringIO()
         writer = csv.DictWriter(out, fieldnames=fields or list(rows[0]))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         print(out.getvalue(), end="")
     else:
         for line in text_lines:
             print(line)
 
 
-def _metric(text: str) -> MetricId:
-    try:
-        return MetricId.parse(text)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-
-
 def cmd_dist(args) -> int:
-    metric = _metric(args.metric)
-    try:
-        u = Permutation.parse(args.perm)
-        v = Permutation.parse(args.perm2) if args.perm2 else None
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    metric = MetricId.parse(args.metric)
+    u = Permutation.parse(args.perm)
+    v = Permutation.parse(args.perm2) if args.perm2 else None
     value = distance(metric, u, v) if v is not None else distance_to_identity(metric, u)
     scale = f"p-th power (p={metric.p})" if metric.kind == "lp" else "distance"
     row = {"metric": metric.name, "value": str(value), "scale": scale}
@@ -56,16 +44,11 @@ def cmd_dist(args) -> int:
     return 0
 
 
-def _cmd_count(args, ball: bool) -> int:
-    metric = _metric(args.metric)
-    try:
-        report = count_report(
-            metric, args.n, args.radius, ball=ball, method=args.method, cap=args.max_enum_degree
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    row = report.as_dict()
+def cmd_count(args) -> int:
+    metric = MetricId.parse(args.metric)
+    report = count_report(
+        metric, args.n, args.radius, ball=args.ball, method=args.method, cap=args.max_enum_degree
+    )
     text = []
     if report.pipeline_count is not None:
         text.append(f"pipeline: {report.pipeline_count}")
@@ -73,42 +56,28 @@ def _cmd_count(args, ball: bool) -> int:
         text.append(f"oracle: {report.oracle_count}")
     if report.match is not None:
         text.append("match" if report.match else "MISMATCH")
-    _emit_rows(args.format, row, text)
+    _emit_rows(args.format, report.as_dict(), text)
     return 0 if report.match in (True, None) else 2
 
 
-def cmd_sphere(args) -> int:
-    return _cmd_count(args, ball=False)
-
-
-def cmd_ball(args) -> int:
-    return _cmd_count(args, ball=True)
-
-
 def cmd_beta(args) -> int:
-    metric = _metric(args.metric)
+    metric = MetricId.parse(args.metric)
     if (args.k is None) == (args.radius is None):
-        print("error: give exactly one of --k or --radius", file=sys.stderr)
-        return 1
+        raise ValueError("give exactly one of --k or --radius")
     radius = args.radius if args.radius is not None else 2 * args.k
     if radius < 0:
-        print("error: radius must be nonnegative", file=sys.stderr)
-        return 1
+        raise ValueError("radius must be nonnegative")
     single = args.m is not None and args.q is not None
-    try:
-        table = beta_table(metric)
-        cells = [(args.m, args.q)] if single else [
-            (m, q) for _, m, q in sphere_terms(metric, radius)
-            if args.m in (None, m) and args.q in (None, q)
-        ]
-        rows = [
-            {"radius": radius, "m": m, "q": q, "beta": str(value)}
-            for m, q in cells
-            if (value := table.beta(radius, m, q)) or single
-        ]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    table = beta_table(metric)
+    cells = [(args.m, args.q)] if single else [
+        (m, q) for _, m, q in sphere_terms(metric, radius)
+        if args.m in (None, m) and args.q in (None, q)
+    ]
+    rows = [
+        {"radius": radius, "m": m, "q": q, "beta": str(value)}
+        for m, q in cells
+        if (value := table.beta(radius, m, q)) or single
+    ]
     if not rows:
         rows = [{"radius": radius, "m": args.m or 0, "q": args.q or 0, "beta": "0"}]
     text = [f"R={r['radius']} m={r['m']} q={r['q']} beta={r['beta']}" for r in rows]
@@ -117,62 +86,50 @@ def cmd_beta(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    metric = _metric(args.metric)
-    if args.eval is not None and args.eval < 1:
-        # the polynomial counts permutations only in S_n with n >= 1
-        print(f"error: --eval must be at least 1, got {args.eval}", file=sys.stderr)
-        return 1
-    try:
-        if args.eval is not None:
-            # the polynomial's value at n, built only from the cells with m <= n
-            value = pipeline_sphere(metric, args.eval, args.radius)
-            _emit_rows(
-                args.format,
-                {"metric": metric.name, "radius": args.radius, "n": args.eval, "value": str(value)},
-                [str(value)],
-            )
-            return 0
-        poly = growth.sphere_polynomial(metric, args.radius)
-        if args.basis == "monomial":
-            rational = growth.to_rational(poly)
-            _emit_rows(args.format, rational.as_dict(), [str(rational)])
-        else:
-            row = poly.as_dict()
-            if args.format == "csv":
-                # a zero polynomial has no terms, so the header is given
-                _emit_rows(args.format, row["terms"], [], ["coef", "m", "q"])
-            else:
-                _emit_rows(args.format, row, [str(poly)])
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    metric = MetricId.parse(args.metric)
+    if args.eval is not None:
+        if args.eval < 1:
+            # the polynomial counts permutations only in S_n with n >= 1
+            raise ValueError(f"--eval must be at least 1, got {args.eval}")
+        # the polynomial's value at n, built only from the cells with m <= n
+        value = pipeline_sphere(metric, args.eval, args.radius)
+        row = {"metric": metric.name, "radius": args.radius, "n": args.eval, "value": str(value)}
+        _emit_rows(args.format, row, [str(value)])
+        return 0
+    poly = growth.sphere_polynomial(metric, args.radius)
+    if args.basis == "monomial":
+        poly = growth.to_rational(poly)
+        row = poly.as_dict()
+        # one row per power of n, whose coefficient is coefficient / denominator
+        rows = [
+            {"degree": i, "coefficient": c, "denominator": row["denominator"]}
+            for i, c in enumerate(row["coefficients"])
+        ]
+        fields = ["degree", "coefficient", "denominator"]
+    else:
+        row = poly.as_dict()
+        # a zero polynomial has no terms, so the header is given
+        rows, fields = row["terms"], ["coef", "m", "q"]
+    _emit_rows(args.format, rows if args.format == "csv" else row, [str(poly)], fields)
     return 0
 
 
 def cmd_verify(args) -> int:
-    try:
-        report = verify_mod.run_verify(
-            max_n=args.max_n, max_k=args.max_k, include_printed_p6=args.include_printed_p6,
-            cap=args.max_enum_degree,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.format == "json":
-        print(json.dumps(report.as_dict(), indent=2))
-    elif args.format == "csv":
-        rows = [
-            {"name": c.name, "verdict": c.verdict, "formula": c.formula, "source": c.source}
-            for c in report.checks
-        ]
-        _emit_rows("csv", rows, [])
-    else:
-        for c in report.checks:
-            tag = {"match": "PASS", "mismatch": "FAIL", "paper-discrepancy": "DISCREPANCY"}[c.verdict]
-            print(f"[{tag}] {c.name}: {c.formula}")
-            for key, value in c.values.items():
-                print(f"    {key}: {value}")
-        print("all internal checks passed" if report.ok else "INTERNAL MISMATCH DETECTED")
+    report = verify_mod.run_verify(
+        max_n=args.max_n, max_k=args.max_k, include_printed_p6=args.include_printed_p6,
+        cap=args.max_enum_degree,
+    )
+    rows = [
+        {"name": c.name, "verdict": c.verdict, "formula": c.formula, "source": c.source}
+        for c in report.checks
+    ]
+    text = []
+    for c in report.checks:
+        tag = {"match": "PASS", "mismatch": "FAIL", "paper-discrepancy": "DISCREPANCY"}[c.verdict]
+        text.append(f"[{tag}] {c.name}: {c.formula}")
+        text.extend(f"    {key}: {value}" for key, value in c.values.items())
+    text.append("all internal checks passed" if report.ok else "INTERNAL MISMATCH DETECTED")
+    _emit_rows(args.format, report.as_dict() if args.format == "json" else rows, text)
     return report.exit_code
 
 
@@ -213,16 +170,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perm2")
     p.set_defaults(fn=cmd_dist)
 
-    for name, fn, about in (
-        ("sphere", cmd_sphere, "count permutations at exact distance"),
-        ("ball", cmd_ball, "count permutations within distance"),
+    for name, about in (
+        ("sphere", "count permutations at exact distance"),
+        ("ball", "count permutations within distance"),
     ):
         p = sub.add_parser(name, parents=[after], help=about)
         p.add_argument("--metric", required=True)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--radius", type=int, required=True)
         p.add_argument("--method", choices=("pipeline", "oracle", "both"), default="pipeline")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_count, ball=name == "ball")
 
     p = sub.add_parser("beta", parents=[after], help="split-type counts beta(R, m, q)")
     p.add_argument("--metric", required=True)
@@ -251,10 +208,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # bare messages, as Python prints a warning when logging is not configured
     logging.basicConfig(level=args.log_level.upper(), format="%(message)s")
-    if args.max_enum_degree < 1:
-        print("error: --max-enum-degree: cap must be positive", file=sys.stderr)
+    # the one place a refusal becomes output: a library or command ValueError
+    # is one stderr line and exit 1; anything else is a fault and a traceback
+    try:
+        if args.max_enum_degree < 1:
+            raise ValueError("--max-enum-degree: cap must be positive")
+        return args.fn(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    return args.fn(args)
 
 
 if __name__ == "__main__":

@@ -508,12 +508,12 @@ def sphere_terms(metric: MetricId, radius: int, top: int | None = None) -> Terms
     cell; with ``top``, only the cells with m <= top."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    table = beta_table(metric)  # refuses a metric with no route, at radius 0 too
     began = time.perf_counter()
     built = BetaTable._row.cache_info().misses
     if radius == 0:
         terms: Terms = ((1, 0, 0),)  # the identity, whose split type is empty
     else:
-        table = beta_table(metric)
         bound = size_bound(metric, radius)
         last = 2 * bound if top is None else min(top, 2 * bound)
         # every part has degree >= 2, so q <= m // 2

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from permsphere import L1, count_report, enumeration, growth, oracle_sphere, verify
+from permsphere import L1, cli, count_report, enumeration, growth, oracle_sphere, verify
 from permsphere.cli import main
 from permsphere.enumeration import EnumerationCapError
 from permsphere.metrics import MetricId
@@ -43,11 +43,6 @@ class TestDist:
         code, out = run(capsys, "dist", "--metric", "l1", "--perm", "2 1", "--perm2", "1 2")
         assert code == 0 and out.strip() == "2"
 
-    def test_parse_error(self, capsys):
-        code = main(["dist", "--metric", "l1", "--perm", "1 1 2"])
-        captured = capsys.readouterr()
-        assert code == 1 and "duplicate value 1" in captured.err
-
 
 class TestSphereBall:
     def test_sphere_both(self, capsys):
@@ -76,11 +71,6 @@ class TestSphereBall:
         doc = json.loads(out)
         assert doc["pipeline"] == "20" and doc["oracle"] == "20" and doc["match"] is True
 
-    def test_oracle_cap(self, capsys):
-        code = main(["sphere", "--metric", "l1", "--n", "14", "--radius", "2", "--method", "oracle"])
-        captured = capsys.readouterr()
-        assert code == 1 and "cap" in captured.err
-
     def test_pipeline_beyond_the_oracle_cap(self, capsys):
         code, out = run(capsys, "sphere", "--metric", "l1", "--n", "30", "--radius", "26")
         assert code == 0 and out.startswith("pipeline: ")
@@ -104,21 +94,6 @@ class TestBeta:
     def test_lemma_value(self, capsys):
         code, out = run(capsys, "beta", "--metric", "l1", "--k", "9", "--m", "6", "--q", "1")
         assert code == 0 and "beta=36" in out
-
-    def test_requires_radius_or_k(self, capsys):
-        code = main(["beta", "--metric", "l1", "--m", "2"])
-        assert code == 1
-
-    @pytest.mark.parametrize(
-        "args",
-        [("--metric", "kendall", "--radius", "-3", "--m", "4", "--q", "2"), ("--metric", "l1", "--k", "-1")],
-        ids=["radius", "k"],
-    )
-    def test_negative_radius_refused(self, capsys, args):
-        code = main(["beta", *args])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
-        assert captured.err == "error: radius must be nonnegative\n"
 
     def test_csv_header(self, capsys):
         code, out = run(capsys, "--format", "csv", "beta", "--metric", "l1", "--k", "2")
@@ -191,19 +166,30 @@ class TestPoly:
         assert code == 0 and out == "2\n"
         assert degrees and max(degrees) <= 3
 
-    @pytest.mark.parametrize("n", [0, -3])
-    def test_eval_below_one_refused(self, capsys, n):
-        code = main(["poly", "--metric", "l1", "--radius", "4", "--eval", str(n)])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
-        assert captured.err == f"error: --eval must be at least 1, got {n}\n"
-
     def test_binomial_json(self, capsys):
         code, out = run(
             capsys, "--format", "json", "poly", "--metric", "l1", "--radius", "2"
         )
         doc = json.loads(out)
         assert doc["terms"] == [{"coef": "1", "m": 2, "q": 1}]
+
+    @pytest.mark.parametrize("radius, rows", [
+        # (n^2 + n - 6)/2, ascending powers of n
+        (4, [("0", "-6", "2"), ("1", "1", "2"), ("2", "1", "2")]),
+        # an odd l1 radius has the zero polynomial
+        (3, [("0", "0", "1")]),
+    ])
+    def test_monomial_csv_row_per_power(self, capsys, radius, rows):
+        code, out = run(capsys, "--format", "csv", "poly", "--metric", "l1", "--radius", str(radius),
+                        "--basis", "monomial")
+        got = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0
+        assert [(r["degree"], r["coefficient"], r["denominator"]) for r in got] == rows
+        code, out = run(capsys, "--format", "json", "poly", "--metric", "l1", "--radius", str(radius),
+                        "--basis", "monomial")
+        doc = json.loads(out)
+        assert doc["coefficients"] == [r[1] for r in rows]
+        assert {doc["denominator"]} == {r[2] for r in rows}
 
     def test_zero_polynomial_csv_is_a_header(self, capsys):
         # an odd l1 radius has the zero polynomial, as text prints 0
@@ -276,35 +262,8 @@ class TestVerify:
         report = verify.run_verify(6, 5, True, cap=6)
         assert report.ok and "printed-polynomial-k6-disputed-cell" not in {c.name for c in report.checks}
 
-    def test_disputed_cell_over_cap_is_one_line(self, capsys):
-        code = main(["--max-enum-degree", "6", "verify", "--max-n", "6", "--max-k", "6", "--include-printed-p6"])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
-        assert captured.err == "error: enumerating S_7 exceeds the configured cap of 6\n"
-
-    @pytest.mark.parametrize("max_n, max_k, message", [
-        ("0", "-1", "max_n must be at least 2, got 0"),
-        ("1", "3", "max_n must be at least 2, got 1"),
-        ("4", "0", "max_k must be at least 1, got 0"),
-    ])
-    def test_empty_matrix_is_an_error(self, capsys, max_n, max_k, message):
-        code = main(["verify", "--max-n", max_n, "--max-k", max_k])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.out == "" and captured.err == f"error: {message}\n"
-
-    def test_lowered_cap(self, capsys):
-        code = main(["--max-enum-degree", "4", "verify", "--max-n", "5"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err == "error: enumerating S_5 exceeds the configured cap of 4\n"
-
 
 class TestOptions:
-    def test_zero_max_enum_degree(self, capsys):
-        code = main(["--max-enum-degree", "0", "dist", "--metric", "l1", "--perm", "2 1"])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.err == "error: --max-enum-degree: cap must be positive\n"
-
     def test_max_enum_degree_after_subcommand(self, capsys):
         code, out = run(capsys, "sphere", "--metric", "l1", "--n", "5", "--radius", "4",
                         "--method", "oracle", "--max-enum-degree", "12")
@@ -372,3 +331,74 @@ class TestOptions:
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                               timeout=60)
         assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
+UNKNOWN_METRIC = "unknown metric kind 'bogus'; expected one of ('l1', 'lp', 'linf', 'hamming', 'cayley', 'kendall')"
+NO_ROUTE = "no split-type pipeline for hamming; l1 and kendall only"
+SUBCOMMANDS = {
+    "dist": ("--perm", "2 1"),
+    "sphere": ("--n", "5", "--radius", "2"),
+    "ball": ("--n", "5", "--radius", "2"),
+    "beta": ("--k", "2"),
+    "poly": ("--radius", "4"),
+}
+REFUSALS = {
+    **{
+        f"{command}-{metric}": ((command, "--metric", metric, *rest), message)
+        for command, rest in SUBCOMMANDS.items()
+        for metric, message in (("bogus", UNKNOWN_METRIC), ("lp:x", "invalid lp exponent in 'lp:x'"))
+    },
+    "sphere-hamming-radius-0": (("sphere", "--metric", "hamming", "--n", "5", "--radius", "0"), NO_ROUTE),
+    "poly-hamming-radius-0": (("poly", "--metric", "hamming", "--radius", "0"), NO_ROUTE),
+    "beta-neither-k-nor-radius": (("beta", "--metric", "l1", "--m", "2"), "give exactly one of --k or --radius"),
+    "beta-negative-radius": (
+        ("beta", "--metric", "kendall", "--radius", "-3", "--m", "4", "--q", "2"),
+        "radius must be nonnegative",
+    ),
+    "beta-negative-k": (("beta", "--metric", "l1", "--k", "-1"), "radius must be nonnegative"),
+    "poly-eval-0": (("poly", "--metric", "l1", "--radius", "4", "--eval", "0"), "--eval must be at least 1, got 0"),
+    "poly-eval-negative": (
+        ("poly", "--metric", "l1", "--radius", "4", "--eval", "-3"), "--eval must be at least 1, got -3"
+    ),
+    "max-enum-degree-0": (
+        ("--max-enum-degree", "0", "dist", "--metric", "l1", "--perm", "2 1"),
+        "--max-enum-degree: cap must be positive",
+    ),
+    "verify-max-n-0": (("verify", "--max-n", "0", "--max-k", "-1"), "max_n must be at least 2, got 0"),
+    "verify-max-n-1": (("verify", "--max-n", "1", "--max-k", "3"), "max_n must be at least 2, got 1"),
+    "verify-max-k-0": (("verify", "--max-n", "4", "--max-k", "0"), "max_k must be at least 1, got 0"),
+    "verify-over-cap": (("verify", "--max-n", "13"), "enumerating S_13 exceeds the configured cap of 12"),
+    "verify-over-lowered-cap": (
+        ("--max-enum-degree", "4", "verify", "--max-n", "5"), "enumerating S_5 exceeds the configured cap of 4"
+    ),
+    # with the disputed cell the matrix also sweeps S_7
+    "verify-disputed-cell-over-cap": (
+        ("--max-enum-degree", "6", "verify", "--max-n", "6", "--max-k", "6", "--include-printed-p6"),
+        "enumerating S_7 exceeds the configured cap of 6",
+    ),
+    "sphere-oracle-over-cap": (
+        ("sphere", "--metric", "l1", "--n", "14", "--radius", "2", "--method", "oracle"),
+        "enumerating S_14 exceeds the configured cap of 12",
+    ),
+    "dist-bad-permutation": (("dist", "--metric", "l1", "--perm", "1 1 2"), "duplicate value 1"),
+}
+
+
+# Every refusal, from the library or from a command, reaches the user the
+# same way: exit 1, nothing on stdout, one stderr line starting "error: ".
+@pytest.mark.parametrize("argv, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refused_with_one_line(capsys, argv, message):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and captured.err == f"error: {message}\n"
+
+
+# a fault is not a refusal: an ArithmeticError (the oracle's leaf count, the
+# pipeline's divisibility check) still ends in a traceback
+def test_internal_fault_is_not_caught(monkeypatch):
+    def fault(*args, **kwargs):
+        raise ArithmeticError("a sweep that counts other than n! leaves")
+
+    monkeypatch.setattr(cli, "count_report", fault)
+    with pytest.raises(ArithmeticError):
+        main(["sphere", "--metric", "l1", "--n", "5", "--radius", "2"])

@@ -19,6 +19,7 @@ from permsphere import (
     oracle_sphere,
     pipeline_ball,
     pipeline_sphere,
+    sphere_polynomial,
 )
 from permsphere import enumeration
 from permsphere.enumeration import (
@@ -464,6 +465,9 @@ class TestBeta:
             lambda metric: connected_histogram(metric, 3),
             radius_step,
             lambda metric: pipeline_sphere(metric, 5, 2),
+            lambda metric: pipeline_sphere(metric, 5, 0),
+            lambda metric: pipeline_ball(metric, 5, 0),
+            lambda metric: sphere_polynomial(metric, 0),
         )
         for name in ("hamming", "cayley", "linf", "lp:2"):
             for entry in entries:
