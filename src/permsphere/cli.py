@@ -67,17 +67,18 @@ def cmd_beta(args) -> int:
     radius = args.radius if args.radius is not None else 2 * args.k
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    single = args.m is not None and args.q is not None
-    table = beta_table(metric)
-    cells = [(args.m, args.q)] if single else [
-        (m, q) for _, m, q in sphere_terms(metric, radius)
-        if args.m in (None, m) and args.q in (None, q)
-    ]
-    rows = [
-        {"radius": radius, "m": m, "q": q, "beta": str(value)}
-        for m, q in cells
-        if (value := table.beta(radius, m, q)) or single
-    ]
+    for flag, value in (("--m", args.m), ("--q", args.q)):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+    if args.m is not None and args.q is not None:
+        cells = [(beta_table(metric).beta(radius, args.m, args.q), args.m, args.q)]
+    else:
+        # the identity's term (q = 0) at radius 0 is no split-type cell
+        cells = [
+            (b, m, q) for b, m, q in sphere_terms(metric, radius, 2 * radius)
+            if q and args.m in (None, m) and args.q in (None, q)
+        ]
+    rows = [{"radius": radius, "m": m, "q": q, "beta": str(b)} for b, m, q in cells]
     if not rows:
         rows = [{"radius": radius, "m": args.m or 0, "q": args.q or 0, "beta": "0"}]
     text = [f"R={r['radius']} m={r['m']} q={r['q']} beta={r['beta']}" for r in rows]

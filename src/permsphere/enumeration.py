@@ -23,8 +23,8 @@ from collections.abc import Callable, Iterable
 from functools import cache, partial
 from itertools import chain, combinations, permutations, product
 
-from .metrics import KENDALL, MetricId, distance_to_identity
-from .perm import Frozen, Permutation, guarded_binom
+from .metrics import KENDALL, MetricId, distance_to_identity, max_l1
+from .perm import Frozen, Permutation
 
 log = logging.getLogger(__name__)
 
@@ -377,7 +377,7 @@ def _kendall_connected(m: int) -> dict[int, int]:
 # farthest(a) + farthest(b) <= farthest(a + b), so it also bounds the
 # distance of a whole split type of degree m.
 _ROUTES = {
-    "l1": (2, _l1_connected, lambda m: m * m // 2),
+    "l1": (2, _l1_connected, max_l1),
     "kendall": (1, _kendall_connected, lambda m: m * (m - 1) // 2),
 }
 
@@ -503,9 +503,9 @@ Terms = tuple[tuple[int, int, int], ...]  # (coefficient, m, q)
 
 
 @cache
-def sphere_terms(metric: MetricId, radius: int, top: int | None = None) -> Terms:
-    """The nonzero terms (beta(R, m, q), m, q) of the radius-R sphere, by
-    cell; with ``top``, only the cells with m <= top."""
+def sphere_terms(metric: MetricId, radius: int, top: int) -> Terms:
+    """The nonzero terms (beta(R, m, q), m, q) of the radius-R sphere with
+    m <= top, by cell; top = 2R keeps them all."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     table = beta_table(metric)  # refuses a metric with no route, at radius 0 too
@@ -515,36 +515,30 @@ def sphere_terms(metric: MetricId, radius: int, top: int | None = None) -> Terms
         terms: Terms = ((1, 0, 0),)  # the identity, whose split type is empty
     else:
         bound = size_bound(metric, radius)
-        last = 2 * bound if top is None else min(top, 2 * bound)
-        # every part has degree >= 2, so q <= m // 2
-        cells = ((m, q) for q in range(1, last // 2 + 1) for m in range(2 * q, last + 1))
+        # every part has degree >= 2, so 2q <= m, and m - q <= N(R)
+        cells = ((m, q) for q in range(1, min(bound, top // 2) + 1)
+                 for m in range(2 * q, min(top, q + bound) + 1))
         terms = tuple((b, m, q) for m, q in cells if (b := table.beta(radius, m, q)))
     log.debug(
-        "sphere terms at radius %d, m <= %s, under %s: %d cells, %d rows built in %.3f s",
+        "sphere terms at radius %d, m <= %d, under %s: %d cells, %d rows built in %.3f s",
         radius, top, metric.name, len(terms), BetaTable._row.cache_info().misses - built,
         time.perf_counter() - began,
     )
     return terms
 
 
-@cache
-def ball_terms(metric: MetricId, radius: int, top: int | None = None) -> Terms:
-    """The terms of the radius-R ball: the sphere terms summed over radii <= R."""
+def ball_terms(metric: MetricId, radius: int, top: int) -> Terms:
+    """The terms of the radius-R ball with m <= top: the sphere terms summed
+    over radii <= R."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if top is not None:
-        # no split type with m <= top lies farther out
-        radius = min(radius, _route(metric)[2](top))
+    # no split type with m <= top lies farther out
+    radius = min(radius, _route(metric)[2](top))
     acc: dict[tuple[int, int], int] = {}
     for r in (0, *attainable_radii(metric, radius)):
         for c, m, q in sphere_terms(metric, r, top):
             acc[(m, q)] = acc.get((m, q), 0) + c
     return tuple((c, m, q) for (m, q), c in acc.items())
-
-
-def evaluate_terms(terms: Terms, n: int) -> int:
-    """The guarded sum of c * [n+q-m choose q]: an exact count for every n >= 1."""
-    return sum(c * guarded_binom(n + q - m, q) for c, m, q in terms)
 
 
 @cache
@@ -576,9 +570,11 @@ def expand_terms(terms: Terms) -> tuple[tuple[int, ...], int]:
 
 # A cell with m > n weighs [n+q-m choose q] = 0, so a query at degree n
 # builds only the cells with m <= n. Every cell has m <= 2 N(R) <= 2R, so
-# min(n, 2R) keeps the memo keys bounded as n grows. Every cell built has
-# n + q - m >= q >= 0, where the guard never applies, so at that n the
-# guarded sum equals the plain polynomial of the same terms.
+# top = min(n, 2R) keeps the memo keys bounded as n grows, and a polynomial
+# is the query at top = 2R: it shares its terms with every query at
+# n >= 2R. Every cell built has n + q - m >= q >= 0, where the guard never
+# applies, so at that n the guarded sum equals the plain polynomial of the
+# same terms.
 
 
 @cache

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .enumeration import ball_terms, evaluate_terms, expand_terms, sphere_terms
+from .enumeration import ball_terms, expand_terms, sphere_terms
 from .metrics import L1, MetricId, max_l1
 from .perm import Frozen, guarded_binom
 
@@ -62,8 +62,8 @@ class BinomialPoly(Frozen):
         return 0
 
     def evaluate(self, n: int) -> int:
-        """Guarded evaluation: exact for every n >= 1."""
-        return evaluate_terms(self.terms, n)
+        """The guarded sum of c * [n+q-m choose q]: exact for every n >= 1."""
+        return sum(c * guarded_binom(n + q - m, q) for c, m, q in self.terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -158,12 +158,12 @@ class RationalPoly(Frozen):
 
 def sphere_polynomial(metric: MetricId, radius: int) -> BinomialPoly:
     """The counting polynomial for spheres of the given radius."""
-    return BinomialPoly(sphere_terms(metric, radius), metric.name, radius)
+    return BinomialPoly(sphere_terms(metric, radius, 2 * radius), metric.name, radius)
 
 
 def ball_polynomial(metric: MetricId, radius: int) -> BinomialPoly:
     """The counting polynomial for balls: the sphere terms of every radius up to this one."""
-    return BinomialPoly(ball_terms(metric, radius), metric.name, radius)
+    return BinomialPoly(ball_terms(metric, radius, 2 * radius), metric.name, radius)
 
 
 def to_rational(poly: BinomialPoly) -> RationalPoly:
@@ -239,9 +239,9 @@ def q_polynomial(k: int) -> BinomialPoly:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    terms = [(c, m, q) for c, m, q in sphere_terms(L1, 2 * k) if m >= k + q - 3]
+    terms = [(c, m, q) for c, m, q in sphere_terms(L1, 2 * k, 4 * k) if m >= k + q - 3]
     if k >= 9:
-        terms.append((36 * (k - 8), 2 * k - 12, k - 8))
+        terms.append((closed_form_beta(k, 2 * k - 12, k - 8), 2 * k - 12, k - 8))
     return BinomialPoly(tuple(terms), "l1", 2 * k)
 
 
@@ -252,9 +252,7 @@ def r_polynomial(k: int) -> BinomialPoly:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    terms = tuple(
-        (math.comb(k - 1, q - 1) * 3 ** (k - q), k + q, q) for q in range(1, k + 1)
-    )
+    terms = tuple((closed_form_beta(k, k + q, q), k + q, q) for q in range(1, k + 1))
     return BinomialPoly(terms, "l1", 2 * k)
 
 

@@ -136,8 +136,8 @@ def distance(metric: MetricId, u: Permutation, v: Permutation) -> int:
 
 
 def max_l1(m: int) -> int:
-    """Maximal l1 distance in S_m: 2r^2 for m = 2r, 2r^2 + 2r for m = 2r + 1."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    r = m // 2
-    return 2 * r * r if m % 2 == 0 else 2 * r * r + 2 * r
+    """Maximal l1 distance in S_m: m^2 // 2, that is 2r^2 for m = 2r and
+    2r^2 + 2r for m = 2r + 1 (0 in S_0 and S_1)."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    return m * m // 2

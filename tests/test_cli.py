@@ -150,9 +150,9 @@ class TestPoly:
         assert code == 0 and out == f"{poly.evaluate(n)}\n"
 
     def test_eval_builds_no_base_above_n(self, capsys, monkeypatch):
-        from permsphere.enumeration import BetaTable, ball_terms, connected_histogram, sphere_terms
+        from permsphere.enumeration import BetaTable, connected_histogram, sphere_terms
 
-        for memo in (sphere_terms, ball_terms, BetaTable._row, enumeration._pipeline_form):
+        for memo in (sphere_terms, BetaTable._row, enumeration._pipeline_form):
             memo.cache_clear()
         degrees = []
         monkeypatch.setattr(
@@ -356,6 +356,12 @@ REFUSALS = {
         "radius must be nonnegative",
     ),
     "beta-negative-k": (("beta", "--metric", "l1", "--k", "-1"), "radius must be nonnegative"),
+    "beta-negative-m": (("beta", "--metric", "l1", "--k", "1", "--m", "-5"), "--m must be at least 1, got -5"),
+    "beta-negative-q": (
+        ("beta", "--metric", "l1", "--k", "1", "--m", "4", "--q", "-2"), "--q must be at least 1, got -2"
+    ),
+    "beta-m-0": (("beta", "--metric", "kendall", "--radius", "3", "--m", "0"), "--m must be at least 1, got 0"),
+    "beta-q-0": (("beta", "--metric", "l1", "--k", "2", "--q", "0"), "--q must be at least 1, got 0"),
     "poly-eval-0": (("poly", "--metric", "l1", "--radius", "4", "--eval", "0"), "--eval must be at least 1, got 0"),
     "poly-eval-negative": (
         ("poly", "--metric", "l1", "--radius", "4", "--eval", "-3"), "--eval must be at least 1, got -3"

@@ -619,9 +619,9 @@ class TestPipeline:
 
     def test_query_builds_no_base_above_n(self, monkeypatch):
         from permsphere import enumeration
-        from permsphere.enumeration import ball_terms, sphere_terms
+        from permsphere.enumeration import sphere_terms
 
-        for memo in (sphere_terms, ball_terms, BetaTable._row, enumeration._pipeline_form):
+        for memo in (sphere_terms, BetaTable._row, enumeration._pipeline_form):
             memo.cache_clear()
         degrees = []
         monkeypatch.setattr(
@@ -633,12 +633,34 @@ class TestPipeline:
         assert pipeline_sphere(L1, 3, 20) == 0
         assert degrees and max(degrees) <= 3
 
+    def test_polynomial_is_the_query_at_top_2r(self):
+        from permsphere.enumeration import sphere_terms
+
+        for memo in (sphere_terms, enumeration._pipeline_form):
+            memo.cache_clear()
+        poly = sphere_polynomial(L1, 16)
+        misses = sphere_terms.cache_info().misses
+        assert pipeline_sphere(L1, 40, 16) == poly.evaluate(40)
+        assert sphere_terms.cache_info().misses == misses
+
+    @pytest.mark.parametrize("metric, radius, top", [(L1, 20, 40), (KENDALL, 12, 5)], ids=["l1", "kendall"])
+    def test_terms_read_only_the_support(self, monkeypatch, metric, radius, top):
+        from permsphere.enumeration import size_bound, sphere_terms
+
+        sphere_terms.cache_clear()
+        cells = []
+        read = BetaTable.beta
+        monkeypatch.setattr(BetaTable, "beta", lambda table, r, m, q: cells.append((m, q)) or read(table, r, m, q))
+        terms = sphere_terms(metric, radius, top)
+        walked, bound = list(cells), size_bound(metric, radius)
+        assert walked and all(m - q <= bound and m <= top for m, q in walked)
+        assert [(m, q) for _, m, q in terms] == [(m, q) for m, q in walked if beta(metric, radius, m, q)]
+
     def test_cold_build_logs_stage_times(self, caplog):
         from permsphere import enumeration
-        from permsphere.enumeration import ball_terms, sphere_terms
+        from permsphere.enumeration import sphere_terms
 
-        for memo in (connected_histogram, sphere_terms, ball_terms, BetaTable._row,
-                     enumeration._pipeline_form):
+        for memo in (connected_histogram, sphere_terms, BetaTable._row, enumeration._pipeline_form):
             memo.cache_clear()
         with caplog.at_level(logging.DEBUG, logger="permsphere.enumeration"):
             assert pipeline_ball(L1, 10, 6) == 286

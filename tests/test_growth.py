@@ -26,7 +26,7 @@ from permsphere import (
     sphere_polynomial,
     to_rational,
 )
-from permsphere.enumeration import ball_terms, evaluate_terms, expand_terms, sphere_terms
+from permsphere.enumeration import ball_terms, expand_terms, sphere_terms
 from permsphere.growth import derangements
 
 from helpers import rational_expansion, rencontres
@@ -180,8 +180,8 @@ class TestPipelineEvaluatesTruncatedTerms:
         for radius in range(max_radius + 1):
             for n in (*range(1, 2 * radius + 3), 100, 1500, 10**6):
                 top = min(n, 2 * radius)
-                sphere = evaluate_terms(sphere_terms(metric, radius, top), n)
-                ball = evaluate_terms(ball_terms(metric, radius, top), n)
+                sphere = BinomialPoly(sphere_terms(metric, radius, top)).evaluate(n)
+                ball = BinomialPoly(ball_terms(metric, radius, top)).evaluate(n)
                 assert pipeline_sphere(metric, n, radius) == sphere
                 assert pipeline_ball(metric, n, radius) == ball
 

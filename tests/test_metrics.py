@@ -165,6 +165,11 @@ class TestMaxDistance:
             brute = max(distance_to_identity(L1, Permutation(w)) for w in words(m))
             assert max_l1(m) == brute
 
+    def test_l1_empty_group_and_refusal(self):
+        assert max_l1(0) == max_l1(1) == 0
+        with pytest.raises(ValueError, match="m must be nonnegative"):
+            max_l1(-1)
+
 
 class TestProperties:
     @pytest.mark.parametrize("n", range(1, 8))
