@@ -64,7 +64,7 @@ def cmd_beta(args) -> int:
     metric = MetricId.parse(args.metric)
     if (args.k is None) == (args.radius is None):
         raise ValueError("give exactly one of --k or --radius")
-    radius = args.radius if args.radius is not None else 2 * args.k
+    radius = args.radius if args.radius is not None else enumeration.radius_step(metric) * args.k
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     for flag, value in (("--m", args.m), ("--q", args.q)):
@@ -134,10 +134,10 @@ def cmd_verify(args) -> int:
     return report.exit_code
 
 
-# Options accepted before and after the subcommand. The main parser holds
-# the defaults; each subparser takes them from ``after``, which suppresses
-# them, so a value given after the subcommand overrides one given before it
-# and an absent one keeps it.
+# Options accepted before and after the command. The top parser holds the
+# defaults; the command's parser takes them with the defaults suppressed, so a
+# value given after the command overrides one given before it and an absent
+# one keeps it.
 _SHARED_OPTIONS = (
     ("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
     ("--max-enum-degree", {
@@ -151,62 +151,60 @@ _SHARED_OPTIONS = (
     }),
 )
 
+_INT, _REQUIRED = {"type": int}, {"required": True}
+_METRIC = ("--metric", _REQUIRED)
+_COUNT = (_METRIC, ("--n", {**_INT, **_REQUIRED}), ("--radius", {**_INT, **_REQUIRED}),
+          ("--method", {"choices": ("pipeline", "oracle", "both"), "default": "pipeline"}))
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+# name: (one-line help, options, defaults)
+_COMMANDS = {
+    "dist": ("distance between permutations (native integer scale; for lp:<p> this is the p-th power)",
+             (_METRIC, ("--perm", _REQUIRED), ("--perm2", {})), {"fn": cmd_dist}),
+    "sphere": ("count permutations at exact distance", _COUNT, {"fn": cmd_count, "ball": False}),
+    "ball": ("count permutations within distance", _COUNT, {"fn": cmd_count, "ball": True}),
+    "beta": ("split-type counts beta(R, m, q)", (
+        _METRIC, ("--k", {**_INT, "help": "the size bound N(R): radius 2k for l1, k for kendall"}),
+        ("--radius", _INT), ("--m", _INT), ("--q", _INT),
+    ), {"fn": cmd_beta}),
+    "poly": ("sphere counting polynomial", (
+        _METRIC, ("--radius", {**_INT, **_REQUIRED}),
+        ("--basis", {"choices": ("binomial", "monomial"), "default": "binomial"}), ("--eval", _INT),
+    ), {"fn": cmd_poly}),
+    "verify": ("run the cross-validation matrix", (
+        ("--max-n", {**_INT, "default": 6}), ("--max-k", {**_INT, "default": 6}),
+        ("--include-printed-p6", {"action": "store_true"}),
+    ), {"fn": cmd_verify}),
+}
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse in two stages: the shared options and the command name, then the
+    rest by a parser built for that command alone."""
+    top = argparse.ArgumentParser(
         prog="permsphere",
-        description="Exact sphere and ball cardinalities in symmetric groups "
+        description="Exact sphere and ball cardinalities in symmetric groups\n"
         "under right-invariant metrics.",
+        epilog="commands:\n" + "\n".join(f"  {name:<8}{about}" for name, (about, _, _) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    after = argparse.ArgumentParser(add_help=False)
     for flag, spec in _SHARED_OPTIONS:
+        top.add_argument(flag, **spec)
+    top.add_argument("command", choices=_COMMANDS)
+    top.add_argument("rest", nargs=argparse.REMAINDER, metavar="...",
+                     help="the command's options, which 'permsphere <command> --help' lists")
+    args = top.parse_args(argv)
+    about, options, defaults = _COMMANDS[args.command]
+    parser = argparse.ArgumentParser(prog=f"permsphere {args.command}", description=about)
+    for flag, spec in _SHARED_OPTIONS:
+        parser.add_argument(flag, **{**spec, "default": argparse.SUPPRESS})
+    for flag, spec in options:
         parser.add_argument(flag, **spec)
-        after.add_argument(flag, **{**spec, "default": argparse.SUPPRESS})
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dist", parents=[after], help="distance between permutations "
-                       "(native integer scale; for lp:<p> this is the p-th power)")
-    p.add_argument("--metric", required=True)
-    p.add_argument("--perm", required=True)
-    p.add_argument("--perm2")
-    p.set_defaults(fn=cmd_dist)
-
-    for name, about in (
-        ("sphere", "count permutations at exact distance"),
-        ("ball", "count permutations within distance"),
-    ):
-        p = sub.add_parser(name, parents=[after], help=about)
-        p.add_argument("--metric", required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--radius", type=int, required=True)
-        p.add_argument("--method", choices=("pipeline", "oracle", "both"), default="pipeline")
-        p.set_defaults(fn=cmd_count, ball=name == "ball")
-
-    p = sub.add_parser("beta", parents=[after], help="split-type counts beta(R, m, q)")
-    p.add_argument("--metric", required=True)
-    p.add_argument("--k", type=int, help="half-radius for l1 (radius = 2k)")
-    p.add_argument("--radius", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--q", type=int)
-    p.set_defaults(fn=cmd_beta)
-
-    p = sub.add_parser("poly", parents=[after], help="sphere counting polynomial")
-    p.add_argument("--metric", required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--basis", choices=("binomial", "monomial"), default="binomial")
-    p.add_argument("--eval", type=int)
-    p.set_defaults(fn=cmd_poly)
-
-    p = sub.add_parser("verify", parents=[after], help="run the cross-validation matrix")
-    p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--max-k", type=int, default=6)
-    p.add_argument("--include-printed-p6", action="store_true")
-    p.set_defaults(fn=cmd_verify)
-    return parser
+    parser.set_defaults(**defaults)
+    return parser.parse_args(args.rest, namespace=args)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     # bare messages, as Python prints a warning when logging is not configured
     logging.basicConfig(level=args.log_level.upper(), format="%(message)s")
     # the one place a refusal becomes output: a library or command ValueError

@@ -536,7 +536,8 @@ def ball_terms(metric: MetricId, radius: int, top: int) -> Terms:
     radius = min(radius, _route(metric)[2](top))
     acc: dict[tuple[int, int], int] = {}
     for r in (0, *attainable_radii(metric, radius)):
-        for c, m, q in sphere_terms(metric, r, top):
+        # every cell of radius r has m <= 2 * N(r) <= 2r: one key per sphere
+        for c, m, q in sphere_terms(metric, r, min(top, 2 * r)):
             acc[(m, q)] = acc.get((m, q), 0) + c
     return tuple((c, m, q) for (m, q), c in acc.items())
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -106,6 +107,13 @@ class TestBeta:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert code == 0
         assert {r["m"]: r["beta"] for r in rows} == {"3": "3", "4": "1"}
+
+    # --k is the size bound N(R): radius 2k under l1, k under Kendall
+    @pytest.mark.parametrize("metric, k, radius", [("kendall", "3", "3"), ("l1", "3", "6")])
+    def test_k_is_the_size_bound(self, capsys, metric, k, radius):
+        by_k = run(capsys, "beta", "--metric", metric, "--k", k)
+        by_radius = run(capsys, "beta", "--metric", metric, "--radius", radius)
+        assert by_k == by_radius and by_k[1].startswith(f"R={radius} ")
 
     @pytest.mark.parametrize("args", [
         ("--k", "1"), ("--k", "2"), ("--radius", "0"), ("--k", "6", "--m", "7", "--q", "2"),
@@ -331,6 +339,81 @@ class TestOptions:
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                               timeout=60)
         assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
+COMMAND_HELP = {
+    "dist": "distance between permutations (native integer scale; for lp:<p> this is the p-th power)",
+    "sphere": "count permutations at exact distance",
+    "ball": "count permutations within distance",
+    "beta": "split-type counts beta(R, m, q)",
+    "poly": "sphere counting polynomial",
+    "verify": "run the cross-validation matrix",
+}
+SPHERE = ("sphere", "--metric", "l1", "--n", "5", "--radius", "4")
+
+
+def usage_exit(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestParse:
+    def test_help_lists_every_command(self, capsys):
+        code, out, _ = usage_exit(capsys, ["--help"])
+        lines = out.splitlines()
+        assert code == 0 and out.startswith("usage: permsphere ")
+        for name, about in COMMAND_HELP.items():
+            assert any(line.split()[:1] == [name] and line.endswith(about) for line in lines), name
+
+    @pytest.mark.parametrize("command", COMMAND_HELP)
+    def test_command_help(self, capsys, command):
+        code, out, _ = usage_exit(capsys, [command, "--help"])
+        assert code == 0 and out.startswith(f"usage: permsphere {command} ")
+        assert "--format" in out and "--max-enum-degree" in out and "--log-level" in out
+
+    @pytest.mark.parametrize("flag, before, after", [
+        ("--format", "json", "csv"), ("--max-enum-degree", "4", "12"), ("--log-level", "error", "debug"),
+    ])
+    def test_shared_option_after_the_command_wins(self, flag, before, after):
+        dest = flag[2:].replace("-", "_")
+        for argv, value in (
+            ([flag, before, *SPHERE], before),
+            ([*SPHERE, flag, after], after),
+            ([flag, before, *SPHERE, flag, after], after),
+        ):
+            assert str(getattr(cli.parse_args(argv), dest)) == value
+
+    @pytest.mark.parametrize("radius", [("--radius=4",), ("--rad", "4")])
+    def test_option_spellings(self, capsys, radius):
+        code, out = run(capsys, "sphere", "--metric", "l1", "--n", "5", *radius)
+        assert code == 0 and out == "pipeline: 12\n"
+
+    @pytest.mark.parametrize("argv, error", [
+        (("bogus",), "permsphere: error: argument command: invalid choice: 'bogus'"),
+        (SPHERE[:-2], "permsphere sphere: error: the following arguments are required: --radius"),
+        (("sphere", "--metric", "l1", "--n", "x", "--radius", "2"),
+         "permsphere sphere: error: argument --n: invalid int value: 'x'"),
+    ], ids=["unknown-command", "missing-option", "non-integer"])
+    def test_usage_error_exits_2(self, capsys, argv, error):
+        code, out, err = usage_exit(capsys, argv)
+        assert code == 2 and out == "" and err.startswith("usage: permsphere")
+        assert err.splitlines()[-1].startswith(error)
+
+    # a command builds its own parser and no other
+    def test_a_command_builds_two_parsers(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        code, out = run(capsys, *SPHERE)
+        assert code == 0 and out == "pipeline: 12\n"
+        assert built == ["permsphere", "permsphere sphere"]
 
 
 UNKNOWN_METRIC = "unknown metric kind 'bogus'; expected one of ('l1', 'lp', 'linf', 'hamming', 'cayley', 'kendall')"

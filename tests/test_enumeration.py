@@ -643,6 +643,16 @@ class TestPipeline:
         assert pipeline_sphere(L1, 40, 16) == poly.evaluate(40)
         assert sphere_terms.cache_info().misses == misses
 
+    def test_one_key_per_inner_sphere(self):
+        from permsphere import verify
+        from permsphere.enumeration import sphere_terms
+
+        for memo in (sphere_terms, enumeration._pipeline_form):
+            memo.cache_clear()
+        verify.run_verify(8, 8, True)
+        # a ball's inner spheres keyed on the ball's own top took 154 keys
+        assert sphere_terms.cache_info().currsize == 126
+
     @pytest.mark.parametrize("metric, radius, top", [(L1, 20, 40), (KENDALL, 12, 5)], ids=["l1", "kendall"])
     def test_terms_read_only_the_support(self, monkeypatch, metric, radius, top):
         from permsphere.enumeration import size_bound, sphere_terms
@@ -675,9 +685,11 @@ class TestPipeline:
         # one line per cold sphere_terms: cells, newly built rows, seconds
         cells = [text for text in messages if text.startswith("sphere terms at radius ")]
         assert [text.split()[4].rstrip(",") for text in cells] == ["0", "2", "4", "6"]
-        assert all(", m <= 10, under l1: " in text and text.endswith(" s") for text in cells)
+        # each inner sphere under its own key, m <= min(top, 2r)
+        assert [text.split(", m <= ")[1].split(",")[0] for text in cells] == ["0", "4", "8", "10"]
+        assert all(", under l1: " in text and text.endswith(" s") for text in cells)
         assert [int(text.split(": ")[1].split()[0]) for text in cells] == [
-            len(sphere_terms(L1, r, 10)) for r in (0, 2, 4, 6)
+            len(sphere_terms(L1, r, top)) for r, top in ((0, 0), (2, 4), (4, 8), (6, 10))
         ]
         rows = [int(text.split(" cells, ")[1].split()[0]) for text in cells]
         assert rows[0] == 0 and sum(rows) == BetaTable._row.cache_info().misses
