@@ -469,6 +469,9 @@ class BetaTable:
         # every caller shares the cached row: read it, never change it
         if radius == m == 0:
             return {0: 1}
+        # no split type of degree m lies past farthest(m), by superadditivity
+        if m < 0 or radius > self.farthest(m):
+            return {}
         row: dict[int, int] = {}
         for m1 in range(2, min(m, radius // self.step + 1) + 1):
             hist = connected_histogram(self.metric, m1)
@@ -576,6 +579,27 @@ def expand_terms(terms: Terms) -> tuple[tuple[int, ...], int]:
 # n >= 2R. Every cell built has n + q - m >= q >= 0, where the guard never
 # applies, so at that n the guarded sum equals the plain polynomial of the
 # same terms.
+#
+# A ball is its spheres summed: the ball form at R is the ball form at the
+# attainable radius one step in, keyed on min(top, 2(R - step)), plus the
+# sphere form at R, which is the key a sphere query at the same n uses. So a
+# ball whose inner ball is built costs one vector add. A cold chain is built
+# innermost first, so no call nests more than one ball deep however many
+# radii the ball holds (496 for Kendall S_32). Below the forms, a
+# convolution row past farthest(m) is empty without recursing.
+
+
+def _sum_forms(
+    first: tuple[tuple[int, ...], int], second: tuple[tuple[int, ...], int]
+) -> tuple[tuple[int, ...], int]:
+    """The sum of two forms, highest degree first, over the larger of their
+    denominators. A form of degree Q is over Q!, so the longer form has the
+    larger denominator, and the other one divides it."""
+    if len(first[0]) < len(second[0]):
+        first, second = second, first
+    (a, d), (b, e) = first, second
+    scale, skip = d // e, len(a) - len(b)
+    return a[:skip] + tuple(x + scale * y for x, y in zip(a[skip:], b)), d
 
 
 @cache
@@ -585,14 +609,27 @@ def _pipeline_form(
     """expand_terms of the sphere or ball terms with m <= top, its
     coefficients highest degree first, as Horner's rule reads them."""
     began = time.perf_counter()
-    terms = (ball_terms if ball else sphere_terms)(metric, radius, top)
-    a, denominator = expand_terms(terms)
+    if ball:
+        step, _, farthest = _route(metric)
+        # no split type with m <= top lies past farthest(top)
+        last = min(radius, farthest(top))
+        last -= last % step
+        form = ((0,), 1)
+        # innermost first: each inner ball finds the one inside it built
+        for r in range(0, last, step):
+            form = _pipeline_form(metric, r, min(top, 2 * r), True)
+        form = _sum_forms(form, _pipeline_form(metric, last, min(top, 2 * last), False))
+        detail = ""
+    else:
+        terms = sphere_terms(metric, radius, top)
+        a, denominator = expand_terms(terms)
+        form, detail = (a[::-1], denominator), f"{len(terms)} terms of "
     log.debug(
-        "pipeline %s form at radius %d, m <= %d, under %s: %d terms of degree %d in %.3f s",
-        "ball" if ball else "sphere", radius, top, metric.name, len(terms),
-        len(a) - 1, time.perf_counter() - began,
+        "pipeline %s form at radius %d, m <= %d, under %s: %sdegree %d in %.3f s",
+        "ball" if ball else "sphere", radius, top, metric.name, detail, len(form[0]) - 1,
+        time.perf_counter() - began,
     )
-    return a[::-1], denominator
+    return form
 
 
 def _pipeline_count(metric: MetricId, n: int, radius: int, ball: bool) -> int:
@@ -600,6 +637,8 @@ def _pipeline_count(metric: MetricId, n: int, radius: int, ball: bool) -> int:
     # comparison or the form's stored order can replace
     if n < 1:
         raise ValueError("n must be positive")
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     top = 2 * radius
     coefficients, denominator = _pipeline_form(metric, radius, n if n < top else top, ball)
     total = 0

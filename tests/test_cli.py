@@ -431,6 +431,13 @@ REFUSALS = {
         for command, rest in SUBCOMMANDS.items()
         for metric, message in (("bogus", UNKNOWN_METRIC), ("lp:x", "invalid lp exponent in 'lp:x'"))
     },
+    **{
+        f"{command}-negative-radius-{metric}": (
+            (command, "--metric", metric, "--n", "5", "--radius", "-2"), "radius must be nonnegative"
+        )
+        for command in ("sphere", "ball")
+        for metric in ("l1", "kendall")
+    },
     "sphere-hamming-radius-0": (("sphere", "--metric", "hamming", "--n", "5", "--radius", "0"), NO_ROUTE),
     "poly-hamming-radius-0": (("poly", "--metric", "hamming", "--radius", "0"), NO_ROUTE),
     "beta-neither-k-nor-radius": (("beta", "--metric", "l1", "--m", "2"), "give exactly one of --k or --radius"),

@@ -483,12 +483,22 @@ class TestBeta:
 
     @pytest.mark.parametrize("metric", [L1, KENDALL], ids=["l1", "kendall"])
     def test_zero_outside_the_split_types(self, metric):
-        for m in range(0, 9):
+        for m in range(-2, 9):
             for r in range(0, 20):
                 assert beta(metric, r, m, 0) == beta(metric, r, m, -1) == 0
                 assert beta(metric, -1 - r, m, 1) == beta(metric, -2 - r, m, 2) == 0
                 if metric == L1 and r % 2:
                     assert all(beta(metric, r, m, q) == 0 for q in range(1, 5))
+
+    # no split type of degree m lies past farthest(m), so its row there is
+    # empty at once and reads no other row
+    @pytest.mark.parametrize("metric", [L1, KENDALL], ids=["l1", "kendall"])
+    def test_row_past_the_farthest_distance_reads_no_row(self, metric):
+        table, farthest = BetaTable(metric), _route(metric)[2]
+        for m in range(2, 9):
+            BetaTable._row.cache_clear()
+            assert table._row(farthest(m) + 1, m) == {}
+            assert BetaTable._row.cache_info().misses == 1
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_convolution_vs_direct_assembly_l1(self, m):
@@ -679,9 +689,17 @@ class TestPipeline:
         forms = [text for text in messages if text.startswith("pipeline ")]
         assert [text.split()[4] for text in bases] == ["2", "3", "4"]
         assert all(" under l1: " in text and text.endswith(" s") for text in bases)
-        assert len(forms) == 1
-        assert forms[0].startswith("pipeline ball form at radius 6, m <= 10, under l1: ")
-        assert " terms of degree 3 in " in forms[0]
+        # a ball form is the ball one radius in plus the sphere form at its
+        # radius, the chain built innermost first
+        keys = [(0, 0), (2, 4), (4, 8), (6, 10)]
+        assert [text.split(": ")[0] for text in forms] == [
+            f"pipeline {kind} form at radius {r}, m <= {top}, under l1"
+            for r, top in keys
+            for kind in ("sphere", "ball")
+        ]
+        assert all(text.endswith(" s") for text in forms)
+        assert forms[-1].startswith("pipeline ball form at radius 6, m <= 10, under l1: degree 3 in ")
+        assert " terms of degree 3 in " in forms[-2]
         # one line per cold sphere_terms: cells, newly built rows, seconds
         cells = [text for text in messages if text.startswith("sphere terms at radius ")]
         assert [text.split()[4].rstrip(",") for text in cells] == ["0", "2", "4", "6"]
@@ -689,15 +707,42 @@ class TestPipeline:
         assert [text.split(", m <= ")[1].split(",")[0] for text in cells] == ["0", "4", "8", "10"]
         assert all(", under l1: " in text and text.endswith(" s") for text in cells)
         assert [int(text.split(": ")[1].split()[0]) for text in cells] == [
-            len(sphere_terms(L1, r, top)) for r, top in ((0, 0), (2, 4), (4, 8), (6, 10))
+            len(sphere_terms(L1, r, top)) for r, top in keys
         ]
         rows = [int(text.split(" cells, ")[1].split()[0]) for text in cells]
         assert rows[0] == 0 and sum(rows) == BetaTable._row.cache_info().misses
-        assert len(messages) == 8
+        assert len(messages) == 15
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="permsphere.enumeration"):
             assert pipeline_ball(L1, 10, 6) == 286
         assert caplog.records == []
+
+    # a ball form is the ball one radius in plus one sphere form; the
+    # merged ball terms are the independent side
+    @pytest.mark.parametrize("metric, max_radius", [(L1, 16), (KENDALL, 10)], ids=["l1", "kendall"])
+    def test_ball_forms_are_the_expanded_ball_terms(self, metric, max_radius):
+        from permsphere.enumeration import ball_terms, expand_terms
+
+        for radius in range(max_radius + 1):
+            for top in range(2 * radius + 1):
+                a, denominator = expand_terms(ball_terms(metric, radius, top))
+                assert enumeration._pipeline_form(metric, radius, top, True) == (a[::-1], denominator)
+
+    # a cold chain of 153 ball forms is built innermost first, so it nests
+    # no deeper than one ball
+    def test_cold_ball_chain_stays_shallow(self):
+        import sys
+
+        enumeration._pipeline_form.cache_clear()
+        depth, frame = 0, sys._getframe()
+        while frame:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            assert pipeline_ball(KENDALL, 18, 153) == math.factorial(18)
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_ball_of_maximal_radius_is_the_group(self):
         for n in range(1, 12):
