@@ -1,17 +1,7 @@
 """Exact sphere and ball cardinalities in symmetric groups under
 right-invariant metrics, cross-validated against a brute-force oracle."""
 
-from .enumeration import (
-    BetaTable,
-    CountReport,
-    beta,
-    connected_beta,
-    count_report,
-    oracle_ball,
-    oracle_sphere,
-    pipeline_ball,
-    pipeline_sphere,
-)
+from .enumeration import CountReport, count_report
 from .growth import (
     NOT_COVERED,
     BinomialPoly,
@@ -37,6 +27,7 @@ from .metrics import (
     distance_to_identity,
     lp,
 )
+from .oracle import oracle_ball, oracle_sphere
 from .perm import (
     Permutation,
     SplitType,
@@ -45,6 +36,7 @@ from .perm import (
     guarded_binom,
     parse,
 )
+from .pipeline import BetaTable, beta, connected_beta, pipeline_ball, pipeline_sphere
 
 __all__ = [
     "BetaTable",

@@ -8,10 +8,12 @@ import json
 import logging
 import sys
 
-from . import enumeration, growth, verify as verify_mod
-from .enumeration import beta_table, count_report, pipeline_sphere, sphere_terms
+from . import growth, verify as verify_mod
+from .enumeration import count_report
 from .metrics import MetricId, distance, distance_to_identity
+from .oracle import DEFAULT_MAX_DEGREE
 from .perm import Permutation
+from .pipeline import beta_table, pipeline_sphere, radius_step, sphere_terms
 
 
 def _emit_rows(
@@ -64,7 +66,7 @@ def cmd_beta(args) -> int:
     metric = MetricId.parse(args.metric)
     if (args.k is None) == (args.radius is None):
         raise ValueError("give exactly one of --k or --radius")
-    radius = args.radius if args.radius is not None else enumeration.radius_step(metric) * args.k
+    radius = args.radius if args.radius is not None else radius_step(metric) * args.k
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     for flag, value in (("--m", args.m), ("--q", args.q)):
@@ -141,9 +143,9 @@ def cmd_verify(args) -> int:
 _SHARED_OPTIONS = (
     ("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
     ("--max-enum-degree", {
-        "type": int, "default": enumeration.DEFAULT_MAX_DEGREE,
+        "type": int, "default": DEFAULT_MAX_DEGREE,
         "help": "largest symmetric group the oracle enumerates "
-        f"(default {enumeration.DEFAULT_MAX_DEGREE})",
+        f"(default {DEFAULT_MAX_DEGREE})",
     }),
     ("--log-level", {
         "choices": ("debug", "info", "warning", "error"), "default": "warning",

@@ -4,7 +4,7 @@ The binomial basis is the source of truth: a term (c, m, q) denotes
 c * [n+q-m choose q] with the i < 0 guard, so ``BinomialPoly.evaluate`` is
 an exact count for *every* n >= 1, not only in the polynomial range
 n >= N(R).  The monomial form is derived from the terms by one integer
-expansion, ``enumeration.expand_terms``: ``to_rational`` divides it out
+expansion, ``pipeline.expand_terms``: ``to_rational`` divides it out
 into exact rationals, and pipeline queries evaluate it by Horner's rule.
 Those queries build only the cells with m <= n, where n + q - m >= q >= 0
 and the guard never applies, so there the monomial form is the count.
@@ -15,9 +15,9 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .enumeration import ball_terms, expand_terms, sphere_terms
 from .metrics import L1, MetricId, max_l1
 from .perm import Frozen, guarded_binom
+from .pipeline import ball_terms, expand_terms, sphere_terms
 
 
 # closed_form_beta's answer for parameters outside every closed-form family.

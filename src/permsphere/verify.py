@@ -10,17 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .enumeration import (
-    DEFAULT_MAX_DEGREE,
-    attainable_radii,
-    beta,
-    check_cap,
-    group_histogram,
-    oracle_ball,
-    oracle_sphere,
-    pipeline_ball,
-    pipeline_sphere,
-)
 from .growth import (
     NOT_COVERED,
     BinomialPoly,
@@ -33,7 +22,9 @@ from .growth import (
     to_rational,
 )
 from .metrics import HAMMING, KENDALL, L1, max_l1
+from .oracle import DEFAULT_MAX_DEGREE, check_cap, group_histogram, oracle_ball, oracle_sphere
 from .perm import Record, guarded_binom
+from .pipeline import attainable_radii, beta, pipeline_ball, pipeline_sphere
 
 MATCH = "match"
 MISMATCH = "mismatch"

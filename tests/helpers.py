@@ -216,7 +216,7 @@ def all_swaps(w: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 def rational_expansion(terms: Iterable[tuple[int, int, int]]) -> list[Fraction]:
     """Ascending monomial coefficients of sum c * binom(n+q-m, q), without
     the i < 0 guard, multiplying in one linear factor at a time over exact
-    rationals: the reference for ``enumeration.expand_terms``."""
+    rationals: the reference for ``pipeline.expand_terms``."""
     coeffs = [Fraction(0)]
     for c, m, q in terms:
         # binom(n+q-m, q) = (1/q!) * prod_{t=0..q-1} (n + q - m - t)

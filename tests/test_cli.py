@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from permsphere import L1, cli, count_report, enumeration, growth, oracle_sphere, verify
+from permsphere import L1, cli, count_report, growth, oracle, oracle_sphere, pipeline, verify
 from permsphere.cli import main
-from permsphere.enumeration import EnumerationCapError
+from permsphere.oracle import EnumerationCapError
 from permsphere.metrics import MetricId
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -158,13 +158,13 @@ class TestPoly:
         assert code == 0 and out == f"{poly.evaluate(n)}\n"
 
     def test_eval_builds_no_base_above_n(self, capsys, monkeypatch):
-        from permsphere.enumeration import BetaTable, connected_histogram, sphere_terms
+        from permsphere.pipeline import BetaTable, connected_histogram, sphere_terms
 
-        for memo in (sphere_terms, BetaTable._row, enumeration._pipeline_form):
+        for memo in (sphere_terms, BetaTable._row, pipeline._pipeline_form):
             memo.cache_clear()
         degrees = []
         monkeypatch.setattr(
-            enumeration,
+            pipeline,
             "connected_histogram",
             lambda metric, m: degrees.append(m) or connected_histogram(metric, m),
         )
@@ -250,7 +250,7 @@ class TestVerify:
 
     def test_over_cap_fails_before_sweeping(self, capsys, monkeypatch):
         swept = []
-        monkeypatch.setattr(enumeration, "_sweep_group", lambda metric, n: swept.append(n) or {})
+        monkeypatch.setattr(oracle, "_sweep_group", lambda metric, n: swept.append(n) or {})
         code = main(["verify", "--max-n", "13"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == "" and swept == []

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import logging
 import math
 from collections import Counter
@@ -21,17 +23,9 @@ from permsphere import (
     pipeline_sphere,
     sphere_polynomial,
 )
-from permsphere import enumeration
-from permsphere.enumeration import (
-    EnumerationCapError,
-    _group_suffix,
-    _split,
-    _route,
-    attainable_radii,
-    connected_histogram,
-    group_histogram,
-    radius_step,
-)
+from permsphere import oracle, pipeline
+from permsphere.oracle import EnumerationCapError, _group_suffix, _split, group_histogram
+from permsphere.pipeline import _route, attainable_radii, connected_histogram, radius_step
 from permsphere.metrics import MetricId, max_l1
 
 from helpers import (
@@ -89,7 +83,7 @@ def lists_built(monkeypatch, metric, n):
     """Sweep S_n under ``metric`` and return each list its walker took from
     the arrangement-list builder, as (first position, values, entries)."""
     built = []
-    make = enumeration._arrangement_lists
+    make = oracle._arrangement_lists
 
     def spy_make(cost, fold, packed):
         build = make(cost, fold, packed)
@@ -101,17 +95,17 @@ def lists_built(monkeypatch, metric, n):
 
         return spy
 
-    monkeypatch.setattr(enumeration, "_arrangement_lists", spy_make)
-    enumeration._WALKS[metric.kind](metric, n)
+    monkeypatch.setattr(oracle, "_arrangement_lists", spy_make)
+    oracle._WALKS[metric.kind](metric, n)
     return built
 
 
 @pytest.fixture
 def fresh_sweeps():
     """Sweep afresh, and keep no sweep made under patched settings."""
-    enumeration._sweep_group.cache_clear()
+    oracle._sweep_group.cache_clear()
     yield
-    enumeration._sweep_group.cache_clear()
+    oracle._sweep_group.cache_clear()
 
 
 class TestOracle:
@@ -145,11 +139,11 @@ class TestOracle:
         assert oracle_sphere(L1, 5, 4, cap=5) == oracle_sphere(L1, 5, 4) == 12
 
     def test_large_sweep_warns_once(self, caplog, monkeypatch):
-        from permsphere import enumeration
+        from permsphere import oracle
 
-        monkeypatch.setattr(enumeration, "_COMFORT_DEGREE", 4)
-        enumeration._sweep_group.cache_clear()
-        with caplog.at_level(logging.WARNING, logger="permsphere.enumeration"):
+        monkeypatch.setattr(oracle, "_COMFORT_DEGREE", 4)
+        oracle._sweep_group.cache_clear()
+        with caplog.at_level(logging.WARNING, logger="permsphere.oracle"):
             for r in range(0, 13, 2):
                 oracle_sphere(L1, 5, r)
             oracle_ball(L1, 5, 12)
@@ -165,6 +159,17 @@ class TestOracle:
     def test_sweep_equals_whole_word_count(self, name, dist, n):
         assert group_histogram(MetricId.parse(name), n) == word_histogram(dist, n)
 
+    # Every count of every sweep up to S_9, pinned by one SHA-256: a change
+    # to the oracle that moves any count shows here.
+    def test_histograms_match_their_pinned_digest(self):
+        names = ["l1", "lp:2", "lp:3", "linf", "hamming", "cayley", "kendall"]
+        doc = {
+            name: {n: sorted(group_histogram(MetricId.parse(name), n).items()) for n in range(1, 10)}
+            for name in names
+        }
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == "9fbe4cafa17723c7f2a79f5fd72af2d01fbf9c1b4e66abbab73616869473a690"
+
     # A flush size of one byte flushes at every node, so each group holds
     # one list when it is counted.
     @pytest.mark.parametrize("n", range(1, 8))
@@ -172,7 +177,7 @@ class TestOracle:
     def test_sweep_flushing_at_every_node_equals_whole_word_count(
         self, name, dist, n, fresh_sweeps, monkeypatch
     ):
-        monkeypatch.setattr(enumeration, "_FLUSH_BYTES", 1)
+        monkeypatch.setattr(oracle, "_FLUSH_BYTES", 1)
         assert group_histogram(MetricId.parse(name), n) == word_histogram(dist, n)
 
     # _walk_costs gives the same histogram from byte suffix lists as from the
@@ -181,7 +186,7 @@ class TestOracle:
     @pytest.mark.parametrize("name", ["l1", "hamming", "lp:2"])
     def test_byte_path_equals_the_entries_loop(self, name, n):
         metric = MetricId.parse(name)
-        by_bytes, by_entries = (enumeration._walk_costs(metric, n, packed) for packed in (True, False))
+        by_bytes, by_entries = (oracle._walk_costs(metric, n, packed) for packed in (True, False))
         assert by_bytes.packed and not by_entries.packed
         assert by_bytes.counts() == by_entries.counts() == group_histogram(metric, n)
 
@@ -196,8 +201,8 @@ class TestOracle:
     def test_every_queued_list_holds_each_value_of_its_key(self, name, n, flush_bytes, monkeypatch):
         metric = MetricId.parse(name)
         expected = group_histogram(metric, n)
-        monkeypatch.setattr(enumeration, "_FLUSH_BYTES", flush_bytes)
-        flush = enumeration._Tally.flush
+        monkeypatch.setattr(oracle, "_FLUSH_BYTES", flush_bytes)
+        flush = oracle._Tally.flush
         flushed = []
 
         def spy(tally):
@@ -208,8 +213,8 @@ class TestOracle:
             flush(tally)
             assert tally.passes - passes == flushed[-1]
 
-        monkeypatch.setattr(enumeration._Tally, "flush", spy)
-        tally = enumeration._WALKS[metric.kind](metric, n)
+        monkeypatch.setattr(oracle._Tally, "flush", spy)
+        tally = oracle._WALKS[metric.kind](metric, n)
         assert tally.counts() == expected
         assert len(flushed) == tally.flushes
         assert tally.flushes >= 1 if tally.packed else tally.flushes == 0
@@ -233,8 +238,8 @@ class TestOracle:
         ("lp:40", 5, 1, "entries tally, 0 flushes, 0 count passes, 120 leaves"),
     ])
     def test_debug_line_reports_the_tally(self, name, n, flush_bytes, tail, fresh_sweeps, monkeypatch, caplog):
-        monkeypatch.setattr(enumeration, "_FLUSH_BYTES", flush_bytes)
-        with caplog.at_level(logging.DEBUG, logger="permsphere.enumeration"):
+        monkeypatch.setattr(oracle, "_FLUSH_BYTES", flush_bytes)
+        with caplog.at_level(logging.DEBUG, logger="permsphere.oracle"):
             group_histogram(MetricId.parse(name), n)
         [message] = [r.getMessage() for r in caplog.records]
         assert message.startswith(f"oracle sweep of S_{n} under {name}: ")
@@ -248,8 +253,8 @@ class TestOracle:
     @pytest.mark.parametrize("name", ["l1", "lp:2", "hamming", "linf", "kendall", "cayley"])
     def test_a_sweep_counts_one_leaf_per_permutation(self, name, n, flush_bytes, monkeypatch):
         metric = MetricId.parse(name)
-        monkeypatch.setattr(enumeration, "_FLUSH_BYTES", flush_bytes)
-        add, flush = enumeration._Tally.add, enumeration._Tally.flush
+        monkeypatch.setattr(oracle, "_FLUSH_BYTES", flush_bytes)
+        add, flush = oracle._Tally.add, oracle._Tally.flush
         bound = [flush_bytes]
 
         def spy_add(tally, heads, data):
@@ -260,9 +265,9 @@ class TestOracle:
             assert all(len(piece) <= bound[0] for lists in tally.waiting.values() for piece in lists)
             flush(tally)
 
-        monkeypatch.setattr(enumeration._Tally, "add", spy_add)
-        monkeypatch.setattr(enumeration._Tally, "flush", spy_flush)
-        tally = enumeration._WALKS[metric.kind](metric, n)
+        monkeypatch.setattr(oracle._Tally, "add", spy_add)
+        monkeypatch.setattr(oracle._Tally, "flush", spy_flush)
+        tally = oracle._WALKS[metric.kind](metric, n)
         tally.counts()
         assert tally.leaves == math.factorial(n)
 
@@ -270,8 +275,8 @@ class TestOracle:
     # adds tally each permutation twice is refused.
     @pytest.mark.parametrize("name", ["l1", "lp:2", "hamming", "linf", "kendall", "cayley"])
     def test_a_sweep_that_miscounts_its_leaves_raises(self, name, fresh_sweeps, monkeypatch):
-        add = enumeration._Tally.add
-        monkeypatch.setattr(enumeration._Tally, "add", lambda tally, *args: add(tally, *args) or add(tally, *args))
+        add = oracle._Tally.add
+        monkeypatch.setattr(oracle._Tally, "add", lambda tally, *args: add(tally, *args) or add(tally, *args))
         with pytest.raises(ArithmeticError, match="counted 240 leaves, not 120"):
             group_histogram(MetricId.parse(name), 5)
 
@@ -284,9 +289,9 @@ class TestOracle:
     )
     def test_one_add_queues_every_head(self, name, dist, n, monkeypatch):
         added = []
-        monkeypatch.setattr(enumeration._Tally, "add", lambda tally, *args: added.append(args))
+        monkeypatch.setattr(oracle._Tally, "add", lambda tally, *args: added.append(args))
         metric = MetricId(name)
-        enumeration._WALKS[metric.kind](metric, n)
+        oracle._WALKS[metric.kind](metric, n)
         [(heads, data)] = added
         k = n - _split(n)
         assert type(heads) is bytes and len(heads) == math.factorial(n) // math.factorial(k)
@@ -343,7 +348,7 @@ class TestOracle:
     # not fit a byte is refused before it starts (lp:3 on S_7 reaches 576).
     def test_byte_sweep_refuses_distances_past_a_byte(self):
         with pytest.raises(ValueError, match="255"):
-            enumeration._walk_costs(MetricId.parse("lp:3"), 7, packed=True)
+            oracle._walk_costs(MetricId.parse("lp:3"), 7, packed=True)
 
     # Kendall and Cayley finish every head from one list, the distances of
     # S_k itself, one entry per permutation (1-based words).
@@ -365,7 +370,7 @@ class TestOracle:
         ids=["kendall", "cayley"],
     )
     def test_insertion_codes_list_s_n_at_the_sum_of_their_steps(self, name, insert, dist, n):
-        step = enumeration._STEPS[name]
+        step = oracle._STEPS[name]
         assert [len(step(i)) for i in range(1, n + 1)] == list(range(1, n + 1))
         seen = set()
         for code in itertools.product(*map(range, range(1, n + 1))):
@@ -609,7 +614,7 @@ class TestPipeline:
 
     def test_ball_equals_alpha_double_sum(self):
         from permsphere import guarded_binom
-        from permsphere.enumeration import size_bound
+        from permsphere.pipeline import size_bound
 
         for n in range(2, 7):
             for radius in (4, 8, 12):
@@ -628,14 +633,14 @@ class TestPipeline:
             pipeline_sphere(HAMMING, 5, 2)
 
     def test_query_builds_no_base_above_n(self, monkeypatch):
-        from permsphere import enumeration
-        from permsphere.enumeration import sphere_terms
+        from permsphere import pipeline
+        from permsphere.pipeline import sphere_terms
 
-        for memo in (sphere_terms, BetaTable._row, enumeration._pipeline_form):
+        for memo in (sphere_terms, BetaTable._row, pipeline._pipeline_form):
             memo.cache_clear()
         degrees = []
         monkeypatch.setattr(
-            enumeration,
+            pipeline,
             "connected_histogram",
             lambda metric, m: degrees.append(m) or connected_histogram(metric, m),
         )
@@ -644,9 +649,9 @@ class TestPipeline:
         assert degrees and max(degrees) <= 3
 
     def test_polynomial_is_the_query_at_top_2r(self):
-        from permsphere.enumeration import sphere_terms
+        from permsphere.pipeline import sphere_terms
 
-        for memo in (sphere_terms, enumeration._pipeline_form):
+        for memo in (sphere_terms, pipeline._pipeline_form):
             memo.cache_clear()
         poly = sphere_polynomial(L1, 16)
         misses = sphere_terms.cache_info().misses
@@ -655,9 +660,9 @@ class TestPipeline:
 
     def test_one_key_per_inner_sphere(self):
         from permsphere import verify
-        from permsphere.enumeration import sphere_terms
+        from permsphere.pipeline import sphere_terms
 
-        for memo in (sphere_terms, enumeration._pipeline_form):
+        for memo in (sphere_terms, pipeline._pipeline_form):
             memo.cache_clear()
         verify.run_verify(8, 8, True)
         # a ball's inner spheres keyed on the ball's own top took 154 keys
@@ -665,7 +670,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("metric, radius, top", [(L1, 20, 40), (KENDALL, 12, 5)], ids=["l1", "kendall"])
     def test_terms_read_only_the_support(self, monkeypatch, metric, radius, top):
-        from permsphere.enumeration import size_bound, sphere_terms
+        from permsphere.pipeline import size_bound, sphere_terms
 
         sphere_terms.cache_clear()
         cells = []
@@ -677,12 +682,12 @@ class TestPipeline:
         assert [(m, q) for _, m, q in terms] == [(m, q) for m, q in walked if beta(metric, radius, m, q)]
 
     def test_cold_build_logs_stage_times(self, caplog):
-        from permsphere import enumeration
-        from permsphere.enumeration import sphere_terms
+        from permsphere import pipeline
+        from permsphere.pipeline import sphere_terms
 
-        for memo in (connected_histogram, sphere_terms, BetaTable._row, enumeration._pipeline_form):
+        for memo in (connected_histogram, sphere_terms, BetaTable._row, pipeline._pipeline_form):
             memo.cache_clear()
-        with caplog.at_level(logging.DEBUG, logger="permsphere.enumeration"):
+        with caplog.at_level(logging.DEBUG, logger="permsphere.pipeline"):
             assert pipeline_ball(L1, 10, 6) == 286
         messages = [r.getMessage() for r in caplog.records]
         bases = [text for text in messages if text.startswith("connected base of degree ")]
@@ -713,7 +718,7 @@ class TestPipeline:
         assert rows[0] == 0 and sum(rows) == BetaTable._row.cache_info().misses
         assert len(messages) == 15
         caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="permsphere.enumeration"):
+        with caplog.at_level(logging.DEBUG, logger="permsphere.pipeline"):
             assert pipeline_ball(L1, 10, 6) == 286
         assert caplog.records == []
 
@@ -721,19 +726,19 @@ class TestPipeline:
     # merged ball terms are the independent side
     @pytest.mark.parametrize("metric, max_radius", [(L1, 16), (KENDALL, 10)], ids=["l1", "kendall"])
     def test_ball_forms_are_the_expanded_ball_terms(self, metric, max_radius):
-        from permsphere.enumeration import ball_terms, expand_terms
+        from permsphere.pipeline import ball_terms, expand_terms
 
         for radius in range(max_radius + 1):
             for top in range(2 * radius + 1):
                 a, denominator = expand_terms(ball_terms(metric, radius, top))
-                assert enumeration._pipeline_form(metric, radius, top, True) == (a[::-1], denominator)
+                assert pipeline._pipeline_form(metric, radius, top, True) == (a[::-1], denominator)
 
     # a cold chain of 153 ball forms is built innermost first, so it nests
     # no deeper than one ball
     def test_cold_ball_chain_stays_shallow(self):
         import sys
 
-        enumeration._pipeline_form.cache_clear()
+        pipeline._pipeline_form.cache_clear()
         depth, frame = 0, sys._getframe()
         while frame:
             depth, frame = depth + 1, frame.f_back

@@ -26,7 +26,7 @@ from permsphere import (
     sphere_polynomial,
     to_rational,
 )
-from permsphere.enumeration import ball_terms, expand_terms, sphere_terms
+from permsphere.pipeline import ball_terms, expand_terms, sphere_terms
 from permsphere.growth import derangements
 
 from helpers import rational_expansion, rencontres
