@@ -1,12 +1,12 @@
 """Command-line interface: dist, sphere, ball, beta, poly, verify."""
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import logging
 import sys
+from types import SimpleNamespace
 
 from . import growth, verify as verify_mod
 from .enumeration import count_report
@@ -179,9 +179,68 @@ _COMMANDS = {
 }
 
 
-def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _store_true(spec: dict) -> bool:
+    return spec.get("action") == "store_true"
+
+
+def _read_options(tokens: list[str], table: dict, values: dict) -> int:
+    """Store the leading ``--option value`` pairs and ``store_true`` flags of
+    ``tokens``, each under its whole name in ``table``, in ``values`` with
+    argparse's ``type`` and ``choices``. Return the index of the first token
+    that names no option, or -1 at a value that argparse would refuse or
+    that starts with "-", which argparse may read as an option."""
+    i = 0
+    while i < len(tokens) and tokens[i] in table:
+        flag, spec = tokens[i], table[tokens[i]]
+        if _store_true(spec):
+            value, i = True, i + 1
+        else:
+            if i + 1 == len(tokens) or tokens[i + 1].startswith("-"):
+                return -1
+            try:
+                value = spec.get("type", str)(tokens[i + 1])
+            except ValueError:
+                return -1
+            if "choices" in spec and value not in spec["choices"]:
+                return -1
+            i += 2
+        values[_dest(flag)] = value
+    return i
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of a command line spelled as the examples spell it, or
+    None for any other: whole option names, each value its own token, shared
+    options before or after the command, the last one winning. A None goes
+    to the argparse parse, which reads abbreviations and ``--option=value``
+    and owns help, usage errors and exit codes; the two agree on every line
+    this one reads."""
+    values = {_dest(flag): spec["default"] for flag, spec in _SHARED_OPTIONS}
+    shared = dict(_SHARED_OPTIONS)
+    at = _read_options(argv, shared, values)
+    if at < 0 or at == len(argv) or argv[at] not in _COMMANDS:
+        return None
+    command, rest = argv[at], argv[at + 1:]
+    _, options, defaults = _COMMANDS[command]
+    for flag, spec in options:
+        values[_dest(flag)] = spec.get("default", False if _store_true(spec) else None)
+    if _read_options(rest, {**shared, **dict(options)}, values) != len(rest):
+        return None
+    # a required option has no default, so it is None until it is read
+    if any(spec.get("required") and values[_dest(flag)] is None for flag, spec in options):
+        return None
+    return SimpleNamespace(**values, command=command, rest=rest, **defaults)
+
+
+def _parse_with_argparse(argv: list[str]) -> SimpleNamespace:
     """Parse in two stages: the shared options and the command name, then the
     rest by a parser built for that command alone."""
+    import argparse
+
     top = argparse.ArgumentParser(
         prog="permsphere",
         description="Exact sphere and ball cardinalities in symmetric groups\n"
@@ -202,7 +261,15 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     for flag, spec in options:
         parser.add_argument(flag, **spec)
     parser.set_defaults(**defaults)
-    return parser.parse_args(args.rest, namespace=args)
+    return SimpleNamespace(**vars(parser.parse_args(args.rest, namespace=args)))
+
+
+def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
+    """The command line's namespace: the options, ``command``, ``rest`` (the
+    tokens after the command) and the command's ``fn`` and defaults."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = _read(argv)
+    return args if args is not None else _parse_with_argparse(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

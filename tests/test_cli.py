@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -334,11 +335,25 @@ class TestOptions:
             "import sys\n"
             f"sys.path.insert(0, {str(SRC)!r})\n"
             "import permsphere.cli\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+            "print(sorted({'argparse', 'dataclasses', 'gettext', 'inspect', 'locale'} & set(sys.modules)))\n"
         )
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                               timeout=60)
         assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+    # argparse's import and its first gettext lookup, which imports locale,
+    # cost a cold command more than its count; a whole-name line needs neither
+    def test_whole_name_command_leaves_argparse_unimported(self):
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(SRC)!r})\n"
+            "import permsphere.cli\n"
+            f"code = permsphere.cli.main({list(SPHERE)!r})\n"
+            "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0 and proc.stdout == "pipeline: 12\n0 []\n", proc.stderr
 
 
 COMMAND_HELP = {
@@ -350,6 +365,12 @@ COMMAND_HELP = {
     "verify": "run the cross-validation matrix",
 }
 SPHERE = ("sphere", "--metric", "l1", "--n", "5", "--radius", "4")
+USAGE_ERRORS = {
+    "unknown-command": (("bogus",), "permsphere: error: argument command: invalid choice: 'bogus'"),
+    "missing-option": (SPHERE[:-2], "permsphere sphere: error: the following arguments are required: --radius"),
+    "non-integer": (("sphere", "--metric", "l1", "--n", "x", "--radius", "2"),
+                    "permsphere sphere: error: argument --n: invalid int value: 'x'"),
+}
 
 
 def usage_exit(capsys, argv):
@@ -390,19 +411,23 @@ class TestParse:
         code, out = run(capsys, "sphere", "--metric", "l1", "--n", "5", *radius)
         assert code == 0 and out == "pipeline: 12\n"
 
-    @pytest.mark.parametrize("argv, error", [
-        (("bogus",), "permsphere: error: argument command: invalid choice: 'bogus'"),
-        (SPHERE[:-2], "permsphere sphere: error: the following arguments are required: --radius"),
-        (("sphere", "--metric", "l1", "--n", "x", "--radius", "2"),
-         "permsphere sphere: error: argument --n: invalid int value: 'x'"),
-    ], ids=["unknown-command", "missing-option", "non-integer"])
+    @pytest.mark.parametrize("argv, error", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
     def test_usage_error_exits_2(self, capsys, argv, error):
         code, out, err = usage_exit(capsys, argv)
         assert code == 2 and out == "" and err.startswith("usage: permsphere")
         assert err.splitlines()[-1].startswith(error)
 
-    # a command builds its own parser and no other
-    def test_a_command_builds_two_parsers(self, capsys, monkeypatch):
+    # a whole-name line builds no parser; one left to argparse builds the top
+    # parser and, for a known command, that command's parser and no other
+    @pytest.mark.parametrize("argv, parsers", [
+        (SPHERE, []),
+        (SPHERE[:-2] + ("--rad", "4"), ["permsphere", "permsphere sphere"]),
+        (SPHERE[:-2] + ("--radius=4",), ["permsphere", "permsphere sphere"]),
+        (("sphere", "--help"), ["permsphere", "permsphere sphere"]),
+        *((argv, ["permsphere"] if name == "unknown-command" else ["permsphere", "permsphere sphere"])
+          for name, (argv, _) in USAGE_ERRORS.items()),
+    ], ids=["whole-names", "abbreviation", "equals", "help", *USAGE_ERRORS])
+    def test_parsers_built(self, capsys, monkeypatch, argv, parsers):
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -411,9 +436,10 @@ class TestParse:
             init(parser, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        code, out = run(capsys, *SPHERE)
-        assert code == 0 and out == "pipeline: 12\n"
-        assert built == ["permsphere", "permsphere sphere"]
+        with contextlib.suppress(SystemExit):
+            main(list(argv))
+        capsys.readouterr()
+        assert built == parsers
 
 
 UNKNOWN_METRIC = "unknown metric kind 'bogus'; expected one of ('l1', 'lp', 'linf', 'hamming', 'cayley', 'kendall')"
