@@ -15,15 +15,18 @@ import math
 import time
 from collections.abc import Callable
 from functools import cache
+from itertools import accumulate
+from operator import mul
 
-from .metrics import KENDALL, MetricId, max_l1
+from .metrics import MetricId, max_l1
 
 log = logging.getLogger(__name__)
 
 
-def _l1_connected(m: int) -> dict[int, int]:
-    """Total displacement over the connected permutations of S_m, by a scan
-    of positions (Diaconis and Graham; Guay-Paquet and Petersen).
+def _l1_connected(degrees: int, radius: float) -> list[dict[int, int]]:
+    """Total displacement over the connected permutations of S_m, for every
+    m <= degrees and up to radius, by one scan of positions (Diaconis and
+    Graham; Guay-Paquet and Petersen).
 
     After position i the state k counts the positions <= i holding values
     > i, which is also the number of values <= i placed after i. Position i
@@ -31,47 +34,49 @@ def _l1_connected(m: int) -> dict[int, int]:
     open values or positions, or stays open: k -> k+1 in 1 way, k -> k in
     2k+1 ways, k -> k-1 in k^2 ways. The k open positions and the k open
     values all cross the gap after i, so each step adds 2k to the distance.
-    The word is connected when k >= 1 after every i < m and k = 0 at
-    i = m; k <= m - i keeps only states that can still close.
+    A word is connected when k = 0 after its last position and no other, so
+    the mass back at k = 0 after position i is the degree-i histogram, and
+    leaves the scan. A state is kept only if it can still close by position
+    degrees (k <= degrees - i) and within radius (closing adds k(k-1)).
     """
+    hists: list[dict[int, int]] = [{}]
     states = {(0, 0): 1}  # (k, distance) -> count
-    for i in range(1, m + 1):
+    for i in range(1, degrees + 1):
         nxt: dict[tuple[int, int], int] = {}
         for (k, d), count in states.items():
             for k2, ways in ((k + 1, 1), (k, 2 * k + 1), (k - 1, k * k)):
-                if (k2 == 0) != (i == m) or not 0 <= k2 <= m - i:
-                    continue
-                key = (k2, d + 2 * k2)
-                nxt[key] = nxt.get(key, 0) + count * ways
-        states = nxt
-    return {d: count for (_, d), count in states.items()}
+                d2 = d + 2 * k2
+                if 0 <= k2 <= degrees - i and d2 + k2 * (k2 - 1) <= radius:
+                    nxt[k2, d2] = nxt.get((k2, d2), 0) + count * ways
+        hists.append({d: count for (k, d), count in nxt.items() if not k})
+        states = {key: count for key, count in nxt.items() if key[0]}
+    return hists
 
 
-@cache
-def _q_factorial(n: int) -> tuple[int, ...]:
-    """Coefficients of [n]_q! = prod_{i<=n} (1 + q + ... + q^(i-1)): the
-    inversion counts of S_n."""
-    if n == 0:
-        return (1,)
-    out = [0] * (len(_q_factorial(n - 1)) + n - 1)
-    for d, c in enumerate(_q_factorial(n - 1)):
-        for j in range(n):
-            out[d + j] += c
-    return tuple(out)
-
-
-def _kendall_connected(m: int) -> dict[int, int]:
-    """Inversions over the connected permutations of S_m, by Comtet's
-    inversion of [m]_q! = sum_j C_j(q) [m-j]_q!: a permutation is its first
-    connected part, of degree j, followed by any permutation of the rest."""
-    total = list(_q_factorial(m))
-    for j in range(1, m):
-        first = connected_histogram(KENDALL, j) if j > 1 else {0: 1}
-        rest = _q_factorial(m - j)
-        for d1, c1 in first.items():
-            for d2, c2 in enumerate(rest):
-                total[d1 + d2] -= c1 * c2
-    return {d: c for d, c in enumerate(total) if c}
+def _kendall_connected(degrees: int, radius: float) -> list[dict[int, int]]:
+    """Inversions over the connected permutations of S_m, for every
+    m <= degrees and up to radius, by Comtet's inversion of
+    [m]_q! = sum_j C_j(q) [m-j]_q!: a permutation is its first connected
+    part, of degree j, followed by any permutation of the rest. It works mod
+    q^(radius+1), where no part has degree above radius + 1."""
+    top = min(degrees, radius + 1)
+    # [n]_q! = [n-1]_q! (1 + q + ... + q^(n-1)), the inversion counts of S_n
+    factorials = [[1]]
+    for n in range(1, top + 1):
+        sums = [0, *accumulate(factorials[-1])]
+        factorials.append([sums[min(d + 1, len(sums) - 1)] - sums[max(d + 1 - n, 0)]
+                           for d in range(min(len(sums) + n - 2, radius + 1))])
+    connected: list[list[int]] = [[]]
+    for m in range(1, top + 1):
+        total = factorials[m][:]
+        for j in range(1, m):
+            rest = factorials[m - j]
+            for d1, c1 in enumerate(connected[j]):
+                if c1:
+                    for d2, c2 in enumerate(rest[:len(total) - d1], d1):
+                        total[d2] -= c1 * c2
+        connected.append(total)
+    return [{d: c for d, c in enumerate(row) if c} for row in connected] + [{}] * (degrees - top)
 
 
 # The split-type pipeline's routes, per kind: (step, connected base,
@@ -87,31 +92,42 @@ _ROUTES = {
 }
 
 
-def _route(metric: MetricId) -> tuple[int, Callable[[int], dict[int, int]], Callable[[int], int]]:
+def _route(metric: MetricId) -> tuple[int, Callable, Callable[[int], int]]:
     try:
         return _ROUTES[metric.kind]
     except KeyError:
         raise ValueError(f"no split-type pipeline for {metric.name}; {' and '.join(_ROUTES)} only") from None
 
 
-@cache
-def connected_histogram(metric: MetricId, m: int) -> dict[int, int]:
-    """Distance histogram of the connected permutations of S_m, for a
-    pipeline metric, computed without enumerating S_m.
+# The latest scan of each base, cut or whole: (kind, whole) -> (degrees,
+# radius, histograms by degree), the memo behind connected_histogram. A read
+# it does not cover scans again, at the read's bounds the first time and at
+# least doubling each outgrown bound after that, so a table grown a step at
+# a time rescans only a few times.
+_scans: dict[tuple[str, bool], tuple[int, float, list[dict[int, int]]]] = {}
 
-    Degree-1 words never occur as split-type parts, so m < 2 yields an
-    empty histogram.
-    """
+
+def connected_histogram(metric: MetricId, m: int, radius: int | None = None) -> dict[int, int]:
+    """Distance histogram of the connected permutations of S_m, for a
+    pipeline metric, computed without enumerating S_m; with a radius, only
+    its distances <= radius. Degree-1 words never occur as split-type parts,
+    so m < 2 yields an empty histogram."""
     base = _route(metric)[1]
     if m < 2:
         return {}
-    began = time.perf_counter()
-    hist = base(m)
-    log.debug(
-        "connected base of degree %d under %s: %d distances in %.3f s",
-        m, metric.name, len(hist), time.perf_counter() - began,
-    )
-    return hist
+    need = math.inf if radius is None else radius
+    degrees, bound, hists = _scans.get((metric.kind, radius is None), (0, 0, []))
+    if m > degrees or need > bound:
+        began = time.perf_counter()
+        degrees = max(m, 2 * degrees) if m > degrees else degrees
+        bound = max(need, 2 * bound) if need > bound else bound
+        hists = base(degrees, bound)
+        _scans[metric.kind, radius is None] = degrees, bound, hists
+        log.debug(
+            "connected base up to degree %d, distances <= %s, under %s: %d distances in %.3f s",
+            degrees, bound, metric.name, sum(map(len, hists[2:])), time.perf_counter() - began,
+        )
+    return hists[m] if need >= bound else {d: c for d, c in hists[m].items() if d <= need}
 
 
 # -- the beta tables ------------------------------------------------------
@@ -134,42 +150,83 @@ def connected_beta(metric: MetricId, radius: int, m: int) -> int:
 
 
 class BetaTable:
-    """Memoized split-type counts beta_D(R, m, q) for a pipeline metric.
+    """Split-type counts beta_D(R, m, q) for a pipeline metric, in one table
+    that every query shares and grows in place.
 
-    One memoized row per (radius, m), shared by every query, maps q to beta.
-    A split type is a connected first part of degree m1, at distance
-    r1 >= step * (m1 - 1), followed by a split type in the row (radius - r1,
-    m - m1) with one part fewer. The only base case is the empty split type
-    (the row {0: 1} at radius 0, m = 0), so cells outside the support are
-    simply absent from their row.
+    A connected part of degree m1 lies at distance step * (s1 + e1): size
+    s1 = m1 - 1 and excess e1 >= 0. So q parts have size s = m - q and
+    total t = s + e = R / step, and row (q, s) lists their cells by excess:
+    the rows with q - 1 parts times one more part, built bottom up. The table
+    holds every cell with t <= total and s <= size, and growing it computes
+    only the cells it lacks. A row ends at the largest total it reaches, so
+    a read past that, or past farthest(m), is 0 and grows nothing.
     """
 
     def __init__(self, metric: MetricId):
         self.metric = metric
         self.step, _, self.farthest = _route(metric)
+        self.total = self.size = self.cells = 0
+        self.rows: dict[tuple[int, int], list[int]] = {}
+        self.open: list[tuple[int, int, int]] = []  # (q, s, last) of the rows the total cuts
+
+    def _last(self, q: int, s: int) -> int:
+        # farthest is convex: q parts of size s lie no farther than one of
+        # degree s - q + 2 and q - 1 transpositions
+        return (self.farthest(s - q + 2) + (q - 1) * self.farthest(2)) // self.step
 
     def beta(self, radius: int, m: int, q: int) -> int:
-        # the empty split type (q = 0) seeds the rows but is no beta cell
-        return self._row(radius, m).get(q, 0) if q >= 1 else 0
+        s = m - q
+        t, odd = divmod(radius, self.step)
+        # every part has degree >= 2, so s >= q; the empty split type is no cell
+        if q < 1 or s < q or odd or t < s:
+            return 0
+        if t > self.total or s > self.size:
+            if t > self._last(q, s):
+                return 0
+            self._grow(t, s)
+        row = self.rows[q, s]
+        return row[t - s] if t - s < len(row) else 0
 
-    @cache
-    def _row(self, radius: int, m: int) -> dict[int, int]:
-        # every caller shares the cached row: read it, never change it
-        if radius == m == 0:
-            return {0: 1}
-        # no split type of degree m lies past farthest(m), by superadditivity
-        if m < 0 or radius > self.farthest(m):
-            return {}
-        row: dict[int, int] = {}
-        for m1 in range(2, min(m, radius // self.step + 1) + 1):
-            hist = connected_histogram(self.metric, m1)
-            reach = min(radius, self.farthest(m1))
-            for r1 in range(self.step * (m1 - 1), reach + 1, self.step):
-                count = hist.get(r1)
-                if count:
-                    for q, rest in self._row(radius - r1, m - m1).items():
-                        row[q + 1] = row.get(q + 1, 0) + count * rest
-        return row
+    def _grow(self, total: int, size: int) -> None:
+        """Hold every cell with t <= total and s <= size."""
+        # s <= t, and no split type of size <= S lies past farthest(S + 1)
+        size = max(self.size, min(size, total))
+        total = max(self.total, min(total, self.farthest(size + 1) // self.step))
+        if (total, size) == (self.total, self.size):
+            return
+        # fewer parts first, as a row reads the rows with one part fewer, and
+        # the largest part first, so that one scan of the base serves them all
+        rows = sorted(self.open + [(q, s, self._last(q, s)) for s in range(self.size + 1, size + 1)
+                                   for q in range(1, s + 1)], key=lambda row: (row[0], -row[1]))
+        self.total, self.size, self.open = total, size, []
+        for q, s, last in rows:
+            row = self.rows.setdefault((q, s), [])
+            end = min(total, last) - s
+            if last > total:
+                self.open.append((q, s, last))
+            if len(row) > end:
+                continue
+            self.cells += end + 1 - len(row)
+            if q == 1:
+                hist = connected_histogram(self.metric, s + 1, self.step * total)
+                row += [hist.get(self.step * (s + e), 0) for e in range(len(row), end + 1)]
+            else:
+                row += self._convolve(q, s, len(row), end)
+
+    def _convolve(self, q: int, s: int, lo: int, hi: int) -> list[int]:
+        """Excesses lo..hi of row (q, s): a part of size s1, then q - 1 parts."""
+        out = [0] * (hi - lo + 1)
+        for s1 in range(1, s - q + 2):
+            part, rest = self.rows[1, s1], self.rows[q - 1, s - s1]
+            if lo == hi:  # one new cell, as a table grown a step at a time adds
+                j, k = max(0, hi + 1 - len(part)), min(len(rest), hi + 1)
+                out[0] += sum(map(mul, part[hi + 1 - k:hi + 1 - j], reversed(rest[j:k])))
+                continue
+            for i, x in enumerate(part[:hi + 1]):
+                j = max(lo - i, 0)
+                for k, y in enumerate(rest[j:hi - i + 1], i + j - lo):
+                    out[k] += x * y
+        return out
 
 
 @cache
@@ -193,15 +250,19 @@ def size_bound(metric: MetricId, radius: int) -> int:
 Terms = tuple[tuple[int, int, int], ...]  # (coefficient, m, q)
 
 
-@cache
 def sphere_terms(metric: MetricId, radius: int, top: int) -> Terms:
     """The nonzero terms (beta(R, m, q), m, q) of the radius-R sphere with
     m <= top, by cell; top = 2R keeps them all."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    table = beta_table(metric)  # refuses a metric with no route, at radius 0 too
-    began = time.perf_counter()
-    built = BetaTable._row.cache_info().misses
+    # every cell has m <= 2 N(R): one memo key per sphere above that
+    return _sphere_terms(metric, radius, min(top, 2 * size_bound(metric, radius)))
+
+
+@cache
+def _sphere_terms(metric: MetricId, radius: int, top: int) -> Terms:
+    table = beta_table(metric)
+    began, built = time.perf_counter(), table.cells
     if radius == 0:
         terms: Terms = ((1, 0, 0),)  # the identity, whose split type is empty
     else:
@@ -211,9 +272,8 @@ def sphere_terms(metric: MetricId, radius: int, top: int) -> Terms:
                  for m in range(2 * q, min(top, q + bound) + 1))
         terms = tuple((b, m, q) for m, q in cells if (b := table.beta(radius, m, q)))
     log.debug(
-        "sphere terms at radius %d, m <= %d, under %s: %d cells, %d rows built in %.3f s",
-        radius, top, metric.name, len(terms), BetaTable._row.cache_info().misses - built,
-        time.perf_counter() - began,
+        "sphere terms at radius %d, m <= %d, under %s: %d cells, %d cells built in %.3f s",
+        radius, top, metric.name, len(terms), table.cells - built, time.perf_counter() - began,
     )
     return terms
 
@@ -227,8 +287,7 @@ def ball_terms(metric: MetricId, radius: int, top: int) -> Terms:
     radius = min(radius, _route(metric)[2](top))
     acc: dict[tuple[int, int], int] = {}
     for r in (0, *attainable_radii(metric, radius)):
-        # every cell of radius r has m <= 2 * N(r) <= 2r: one key per sphere
-        for c, m, q in sphere_terms(metric, r, min(top, 2 * r)):
+        for c, m, q in sphere_terms(metric, r, top):
             acc[(m, q)] = acc.get((m, q), 0) + c
     return tuple((c, m, q) for (m, q), c in acc.items())
 
@@ -273,8 +332,8 @@ def expand_terms(terms: Terms) -> tuple[tuple[int, ...], int]:
 # sphere form at R, which is the key a sphere query at the same n uses. So a
 # ball whose inner ball is built costs one vector add. A cold chain is built
 # innermost first, so no call nests more than one ball deep however many
-# radii the ball holds (496 for Kendall S_32). Below the forms, a
-# convolution row past farthest(m) is empty without recursing.
+# radii the ball holds (496 for Kendall S_32). Below the forms, a cell past
+# farthest(m) reads 0 without growing the table.
 
 
 def _sum_forms(

@@ -97,6 +97,16 @@ class TestBeta:
         code, out = run(capsys, "beta", "--metric", "l1", "--k", "9", "--m", "6", "--q", "1")
         assert code == 0 and "beta=36" in out
 
+    # no split type of degree 3 lies past farthest(3) = 4: the read is 0 at
+    # once and grows no cell of the table
+    @pytest.mark.parametrize("metric", ["l1", "kendall"])
+    def test_cell_past_the_farthest_distance_grows_nothing(self, capsys, metric):
+        pipeline.beta_table.cache_clear()
+        code, out = run(capsys, "beta", "--metric", metric, "--k", "1000000", "--m", "3", "--q", "1")
+        radius = 1000000 * pipeline.radius_step(MetricId.parse(metric))
+        assert code == 0 and out == f"R={radius} m=3 q=1 beta=0\n"
+        assert pipeline.beta_table(MetricId.parse(metric)).rows == {}
+
     def test_csv_header(self, capsys):
         code, out = run(capsys, "--format", "csv", "beta", "--metric", "l1", "--k", "2")
         rows = list(csv.DictReader(io.StringIO(out)))
@@ -159,15 +169,15 @@ class TestPoly:
         assert code == 0 and out == f"{poly.evaluate(n)}\n"
 
     def test_eval_builds_no_base_above_n(self, capsys, monkeypatch):
-        from permsphere.pipeline import BetaTable, connected_histogram, sphere_terms
+        from permsphere.pipeline import connected_histogram
 
-        for memo in (sphere_terms, BetaTable._row, pipeline._pipeline_form):
+        for memo in (pipeline._sphere_terms, pipeline.beta_table, pipeline._pipeline_form):
             memo.cache_clear()
         degrees = []
         monkeypatch.setattr(
             pipeline,
             "connected_histogram",
-            lambda metric, m: degrees.append(m) or connected_histogram(metric, m),
+            lambda metric, m, radius=None: degrees.append(m) or connected_histogram(metric, m, radius),
         )
         code, out = run(capsys, "poly", "--metric", "l1", "--radius", "40", "--eval", "3")
         assert code == 0 and out == "0\n"

@@ -426,8 +426,35 @@ class TestConnectedBase:
 
     # S_14 is above the oracle's default cap of 12
     def test_never_capped(self):
-        connected_histogram.cache_clear()
+        pipeline._scans.clear()
         assert sum(connected_histogram(L1, 14).values()) == A003319[12]
+
+    # one scan yields every degree at once; with a radius it keeps only the
+    # distances up to it, by the same rule as the whole histogram
+    @pytest.mark.parametrize("metric", [L1, KENDALL], ids=["l1", "kendall"])
+    @pytest.mark.parametrize("radius", [0, 1, 2, 7, 20, 40, 61, 120])
+    def test_cut_histograms_are_the_whole_ones_cut(self, metric, radius):
+        scan = _route(metric)[1]
+        whole = scan(15, math.inf)
+        cut = scan(15, radius)
+        for m in range(2, 16):
+            expected = {d: c for d, c in whole[m].items() if d <= radius}
+            assert cut[m] == expected
+            assert connected_histogram(metric, m, radius) == expected
+            assert scan(m, radius)[m] == expected
+
+    # reads at growing bounds share the latest scan, and a cut read leaves
+    # the whole histograms whole
+    @pytest.mark.parametrize("metric", [L1, KENDALL], ids=["l1", "kendall"])
+    def test_cut_and_whole_reads_do_not_mix(self, metric):
+        pipeline._scans.clear()
+        for radius in range(0, 30, 3):
+            for m in range(2, 12):
+                whole = connected_histogram(metric, m)
+                assert connected_histogram(metric, m, radius) == {
+                    d: c for d, c in whole.items() if d <= radius
+                }
+        assert [sum(connected_histogram(metric, m).values()) for m in range(2, 16)] == A003319
 
 
 class TestConnectedBeta:
@@ -495,15 +522,46 @@ class TestBeta:
                 if metric == L1 and r % 2:
                     assert all(beta(metric, r, m, q) == 0 for q in range(1, 5))
 
-    # no split type of degree m lies past farthest(m), so its row there is
-    # empty at once and reads no other row
+    # no split type of degree m lies past farthest(m), so a read there is 0
+    # at once and grows no cell of the table
     @pytest.mark.parametrize("metric", [L1, KENDALL], ids=["l1", "kendall"])
-    def test_row_past_the_farthest_distance_reads_no_row(self, metric):
+    def test_read_past_the_farthest_distance_grows_nothing(self, metric):
         table, farthest = BetaTable(metric), _route(metric)[2]
         for m in range(2, 9):
-            BetaTable._row.cache_clear()
-            assert table._row(farthest(m) + 1, m) == {}
-            assert BetaTable._row.cache_info().misses == 1
+            for q in range(1, m + 1):
+                for radius in (farthest(m) + 1, farthest(m) + 2, 10**12):
+                    assert table.beta(radius, m, q) == 0
+        assert table.rows == {} and table.total == table.size == table.cells == 0
+
+    # every beta cell and sphere_terms tuple over these ranges, pinned by
+    # digests taken from the recursive row memo that the table replaced
+    @pytest.mark.parametrize("metric, max_radius, expected", [
+        (L1, 40, "5fcc59be971d45b72062279ab8dab7856c0730986c9722b2ee372a53a7c3a643"),
+        (KENDALL, 22, "87dfc206c3fecf20576eab8141fbfc7896bde823da732926dd7398a69a6af60e"),
+    ], ids=["l1", "kendall"])
+    def test_cells_match_the_pinned_digest(self, metric, max_radius, expected):
+        from permsphere.pipeline import sphere_terms
+
+        pipeline.beta_table.cache_clear()
+        digest = hashlib.sha256()
+        for r in range(max_radius + 1):
+            for m in range(25):
+                for q in range(13):
+                    digest.update(f"{r} {m} {q} {beta(metric, r, m, q)}\n".encode())
+            for top in (0, 1, 3, 8, 13, 24, 2 * r):
+                digest.update(f"{r} {top} {sphere_terms(metric, r, top)}\n".encode())
+        assert digest.hexdigest() == expected
+
+    # a table grown a step at a time holds the cells of one built at once
+    @pytest.mark.parametrize("metric", [L1, KENDALL], ids=["l1", "kendall"])
+    def test_growth_in_steps_equals_one_build(self, metric):
+        whole = BetaTable(metric)
+        whole._grow(20, 14)
+        steps = BetaTable(metric)
+        for total, size in ((1, 1), (3, 2), (3, 7), (9, 7), (12, 3), (20, 14)):
+            steps._grow(total, size)
+        assert steps.rows == whole.rows and steps.cells == whole.cells
+        assert all(row and row[-1] for row in whole.rows.values())
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_convolution_vs_direct_assembly_l1(self, m):
@@ -634,45 +692,42 @@ class TestPipeline:
 
     def test_query_builds_no_base_above_n(self, monkeypatch):
         from permsphere import pipeline
-        from permsphere.pipeline import sphere_terms
 
-        for memo in (sphere_terms, BetaTable._row, pipeline._pipeline_form):
+        for memo in (pipeline._sphere_terms, pipeline.beta_table, pipeline._pipeline_form):
             memo.cache_clear()
         degrees = []
         monkeypatch.setattr(
             pipeline,
             "connected_histogram",
-            lambda metric, m: degrees.append(m) or connected_histogram(metric, m),
+            lambda metric, m, radius=None: degrees.append(m) or connected_histogram(metric, m, radius),
         )
         assert pipeline_ball(KENDALL, 3, 12) == 6
         assert pipeline_sphere(L1, 3, 20) == 0
         assert degrees and max(degrees) <= 3
 
     def test_polynomial_is_the_query_at_top_2r(self):
-        from permsphere.pipeline import sphere_terms
-
-        for memo in (sphere_terms, pipeline._pipeline_form):
+        for memo in (pipeline._sphere_terms, pipeline._pipeline_form):
             memo.cache_clear()
         poly = sphere_polynomial(L1, 16)
-        misses = sphere_terms.cache_info().misses
+        misses = pipeline._sphere_terms.cache_info().misses
         assert pipeline_sphere(L1, 40, 16) == poly.evaluate(40)
-        assert sphere_terms.cache_info().misses == misses
+        assert pipeline._sphere_terms.cache_info().misses == misses
 
     def test_one_key_per_inner_sphere(self):
         from permsphere import verify
-        from permsphere.pipeline import sphere_terms
 
-        for memo in (sphere_terms, pipeline._pipeline_form):
+        for memo in (pipeline._sphere_terms, pipeline._pipeline_form):
             memo.cache_clear()
         verify.run_verify(8, 8, True)
-        # a ball's inner spheres keyed on the ball's own top took 154 keys
-        assert sphere_terms.cache_info().currsize == 126
+        # a ball's inner spheres keyed on the ball's own top took 154 keys,
+        # and keyed on min(top, 2r) 126; sphere_terms keys on min(top, 2 N(R))
+        assert pipeline._sphere_terms.cache_info().currsize == 116
 
     @pytest.mark.parametrize("metric, radius, top", [(L1, 20, 40), (KENDALL, 12, 5)], ids=["l1", "kendall"])
     def test_terms_read_only_the_support(self, monkeypatch, metric, radius, top):
         from permsphere.pipeline import size_bound, sphere_terms
 
-        sphere_terms.cache_clear()
+        pipeline._sphere_terms.cache_clear()
         cells = []
         read = BetaTable.beta
         monkeypatch.setattr(BetaTable, "beta", lambda table, r, m, q: cells.append((m, q)) or read(table, r, m, q))
@@ -685,14 +740,17 @@ class TestPipeline:
         from permsphere import pipeline
         from permsphere.pipeline import sphere_terms
 
-        for memo in (connected_histogram, sphere_terms, BetaTable._row, pipeline._pipeline_form):
+        for memo in (pipeline._sphere_terms, pipeline.beta_table, pipeline._pipeline_form):
             memo.cache_clear()
+        pipeline._scans.clear()
         with caplog.at_level(logging.DEBUG, logger="permsphere.pipeline"):
             assert pipeline_ball(L1, 10, 6) == 286
         messages = [r.getMessage() for r in caplog.records]
-        bases = [text for text in messages if text.startswith("connected base of degree ")]
+        bases = [text for text in messages if text.startswith("connected base up to degree ")]
         forms = [text for text in messages if text.startswith("pipeline ")]
-        assert [text.split()[4] for text in bases] == ["2", "3", "4"]
+        # one scan per growth of the base: exact bounds first, then doubled
+        assert [text.split()[5].rstrip(",") for text in bases] == ["2", "4", "4"]
+        assert [text.split()[8].rstrip(",") for text in bases] == ["2", "4", "8"]
         assert all(" under l1: " in text and text.endswith(" s") for text in bases)
         # a ball form is the ball one radius in plus the sphere form at its
         # radius, the chain built innermost first
@@ -705,17 +763,17 @@ class TestPipeline:
         assert all(text.endswith(" s") for text in forms)
         assert forms[-1].startswith("pipeline ball form at radius 6, m <= 10, under l1: degree 3 in ")
         assert " terms of degree 3 in " in forms[-2]
-        # one line per cold sphere_terms: cells, newly built rows, seconds
+        # one line per cold sphere_terms: cells, newly built cells, seconds
         cells = [text for text in messages if text.startswith("sphere terms at radius ")]
         assert [text.split()[4].rstrip(",") for text in cells] == ["0", "2", "4", "6"]
-        # each inner sphere under its own key, m <= min(top, 2r)
-        assert [text.split(", m <= ")[1].split(",")[0] for text in cells] == ["0", "4", "8", "10"]
+        # each inner sphere under its own key, m <= min(top, 2 N(r))
+        assert [text.split(", m <= ")[1].split(",")[0] for text in cells] == ["0", "2", "4", "6"]
         assert all(", under l1: " in text and text.endswith(" s") for text in cells)
         assert [int(text.split(": ")[1].split()[0]) for text in cells] == [
             len(sphere_terms(L1, r, top)) for r, top in keys
         ]
-        rows = [int(text.split(" cells, ")[1].split()[0]) for text in cells]
-        assert rows[0] == 0 and sum(rows) == BetaTable._row.cache_info().misses
+        built = [int(text.split(" cells, ")[1].split()[0]) for text in cells]
+        assert built[0] == 0 and sum(built) == pipeline.beta_table(L1).cells
         assert len(messages) == 15
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="permsphere.pipeline"):
