@@ -305,7 +305,8 @@ def group_histogram(metric: MetricId, n: int, *, cap: int = DEFAULT_MAX_DEGREE) 
     if n < 1:
         raise ValueError("n must be positive")
     check_cap(n, cap)
-    return _sweep_group(metric, n)
+    # a copy: the caller may edit it, the memo stays whole
+    return dict(_sweep_group(metric, n))
 
 
 # -- oracle ---------------------------------------------------------------

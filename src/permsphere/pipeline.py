@@ -23,7 +23,7 @@ from .metrics import MetricId, max_l1
 log = logging.getLogger(__name__)
 
 
-def _l1_connected(degrees: int, radius: float) -> list[dict[int, int]]:
+def _l1_connected(degrees: int, radius: int) -> list[dict[int, int]]:
     """Total displacement over the connected permutations of S_m, for every
     m <= degrees and up to radius, by one scan of positions (Diaconis and
     Graham; Guay-Paquet and Petersen).
@@ -53,7 +53,7 @@ def _l1_connected(degrees: int, radius: float) -> list[dict[int, int]]:
     return hists
 
 
-def _kendall_connected(degrees: int, radius: float) -> list[dict[int, int]]:
+def _kendall_connected(degrees: int, radius: int) -> list[dict[int, int]]:
     """Inversions over the connected permutations of S_m, for every
     m <= degrees and up to radius, by Comtet's inversion of
     [m]_q! = sum_j C_j(q) [m-j]_q!: a permutation is its first connected
@@ -99,12 +99,12 @@ def _route(metric: MetricId) -> tuple[int, Callable, Callable[[int], int]]:
         raise ValueError(f"no split-type pipeline for {metric.name}; {' and '.join(_ROUTES)} only") from None
 
 
-# The latest scan of each base, cut or whole: (kind, whole) -> (degrees,
-# radius, histograms by degree), the memo behind connected_histogram. A read
-# it does not cover scans again, at the read's bounds the first time and at
-# least doubling each outgrown bound after that, so a table grown a step at
-# a time rescans only a few times.
-_scans: dict[tuple[str, bool], tuple[int, float, list[dict[int, int]]]] = {}
+# The latest scan of each base: kind -> (degrees, radius, histograms by
+# degree), the memo behind connected_histogram. A read it does not cover
+# scans again, at the read's bounds the first time and at least doubling
+# each outgrown bound after that, so a table grown a step at a time rescans
+# only a few times.
+_scans: dict[str, tuple[int, int, list[dict[int, int]]]] = {}
 
 
 def connected_histogram(metric: MetricId, m: int, radius: int | None = None) -> dict[int, int]:
@@ -112,22 +112,23 @@ def connected_histogram(metric: MetricId, m: int, radius: int | None = None) -> 
     pipeline metric, computed without enumerating S_m; with a radius, only
     its distances <= radius. Degree-1 words never occur as split-type parts,
     so m < 2 yields an empty histogram."""
-    base = _route(metric)[1]
+    _, base, farthest = _route(metric)
     if m < 2:
         return {}
-    need = math.inf if radius is None else radius
-    degrees, bound, hists = _scans.get((metric.kind, radius is None), (0, 0, []))
+    # no word of S_m lies past farthest(m): the whole histogram is the cut there
+    need = farthest(m) if radius is None else radius
+    degrees, bound, hists = _scans.get(metric.kind, (0, 0, []))
     if m > degrees or need > bound:
         began = time.perf_counter()
         degrees = max(m, 2 * degrees) if m > degrees else degrees
         bound = max(need, 2 * bound) if need > bound else bound
         hists = base(degrees, bound)
-        _scans[metric.kind, radius is None] = degrees, bound, hists
+        _scans[metric.kind] = degrees, bound, hists
         log.debug(
-            "connected base up to degree %d, distances <= %s, under %s: %d distances in %.3f s",
+            "connected base up to degree %d, distances <= %d, under %s: %d distances in %.3f s",
             degrees, bound, metric.name, sum(map(len, hists[2:])), time.perf_counter() - began,
         )
-    return hists[m] if need >= bound else {d: c for d, c in hists[m].items() if d <= need}
+    return {d: c for d, c in hists[m].items() if d <= need}
 
 
 # -- the beta tables ------------------------------------------------------
@@ -146,7 +147,7 @@ def attainable_radii(metric: MetricId, max_radius: int) -> range:
 
 def connected_beta(metric: MetricId, radius: int, m: int) -> int:
     """Number of connected split-type parts of degree exactly m at this radius."""
-    return connected_histogram(metric, m).get(radius, 0)
+    return connected_histogram(metric, m, radius).get(radius, 0)
 
 
 class BetaTable:
@@ -192,8 +193,6 @@ class BetaTable:
         # s <= t, and no split type of size <= S lies past farthest(S + 1)
         size = max(self.size, min(size, total))
         total = max(self.total, min(total, self.farthest(size + 1) // self.step))
-        if (total, size) == (self.total, self.size):
-            return
         # fewer parts first, as a row reads the rows with one part fewer, and
         # the largest part first, so that one scan of the base serves them all
         rows = sorted(self.open + [(q, s, self._last(q, s)) for s in range(self.size + 1, size + 1)

@@ -476,6 +476,11 @@ REFUSALS = {
     },
     "sphere-hamming-radius-0": (("sphere", "--metric", "hamming", "--n", "5", "--radius", "0"), NO_ROUTE),
     "poly-hamming-radius-0": (("poly", "--metric", "hamming", "--radius", "0"), NO_ROUTE),
+    # beta --k reaches the route through radius_step, poly --eval through pipeline_sphere
+    "beta-k-cayley": (("beta", "--metric", "cayley", "--k", "2"), NO_ROUTE.replace("hamming", "cayley")),
+    "poly-eval-linf": (
+        ("poly", "--metric", "linf", "--radius", "3", "--eval", "5"), NO_ROUTE.replace("hamming", "linf")
+    ),
     "beta-neither-k-nor-radius": (("beta", "--metric", "l1", "--m", "2"), "give exactly one of --k or --radius"),
     "beta-negative-radius": (
         ("beta", "--metric", "kendall", "--radius", "-3", "--m", "4", "--q", "2"),

@@ -434,8 +434,9 @@ class TestConnectedBase:
     @pytest.mark.parametrize("metric", [L1, KENDALL], ids=["l1", "kendall"])
     @pytest.mark.parametrize("radius", [0, 1, 2, 7, 20, 40, 61, 120])
     def test_cut_histograms_are_the_whole_ones_cut(self, metric, radius):
-        scan = _route(metric)[1]
-        whole = scan(15, math.inf)
+        _, scan, farthest = _route(metric)
+        # no connected word of S_15 lies past farthest(15)
+        whole = scan(15, farthest(15))
         cut = scan(15, radius)
         for m in range(2, 16):
             expected = {d: c for d, c in whole[m].items() if d <= radius}
@@ -455,6 +456,43 @@ class TestConnectedBase:
                     d: c for d, c in whole.items() if d <= radius
                 }
         assert [sum(connected_histogram(metric, m).values()) for m in range(2, 16)] == A003319
+
+    # whole and cut reads share one scan per metric: after a deep build grows
+    # it, a whole read, and a cut read after whole reads, each equal a fresh
+    # scan at the read's own bounds
+    @pytest.mark.parametrize(
+        "metric, build, depth",
+        [(L1, sphere_polynomial, 40), (KENDALL, ball_polynomial, 20)],
+        ids=["l1", "kendall"],
+    )
+    def test_reads_after_a_deep_build_are_fresh_scans(self, metric, build, depth):
+        _, scan, farthest = _route(metric)
+        for memo in (pipeline._sphere_terms, pipeline.beta_table, pipeline._pipeline_form):
+            memo.cache_clear()
+        pipeline._scans.clear()
+        build(metric, depth)
+        assert pipeline._scans[metric.kind][0] > 15
+        for m in range(2, 16):
+            assert connected_histogram(metric, m) == scan(m, farthest(m))[m]
+        for radius in (0, 3, 17, 40, 150):
+            for m in range(2, 16):
+                assert connected_histogram(metric, m, radius) == scan(m, radius)[m]
+
+
+# the histograms a reader returns are the caller's own: editing them changes
+# no later answer of either route
+def test_edited_histograms_leave_the_memos_whole():
+    pipeline._scans.clear()
+    # each a read at the bounds of the scan it makes
+    connected_histogram(KENDALL, 4).clear()
+    connected_histogram(L1, 5, 8).clear()
+    assert connected_histogram(KENDALL, 4) == brute_connected_histogram(word_inversions, 4)
+    assert connected_histogram(L1, 5, 8) == {8: 27}
+    assert connected_beta(KENDALL, 4, 4) == 5
+    group_histogram(L1, 5)[4] = 0
+    group_histogram(KENDALL, 5).clear()
+    assert oracle_sphere(L1, 5, 4) == 12 and oracle_ball(L1, 5, 4) == 17
+    assert group_histogram(KENDALL, 5) == dict(enumerate(mahonian(5)))
 
 
 class TestConnectedBeta:
