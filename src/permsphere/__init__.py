@@ -9,7 +9,6 @@ from .growth import (
     ball_polynomial,
     closed_form_beta,
     hamming_sphere,
-    leading_term_check,
     q_polynomial,
     r_polynomial,
     series_coefficients,
@@ -58,7 +57,6 @@ __all__ = [
     "distance_to_identity",
     "guarded_binom",
     "hamming_sphere",
-    "leading_term_check",
     "lp",
     "oracle_ball",
     "oracle_sphere",

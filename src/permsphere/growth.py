@@ -51,10 +51,6 @@ class BinomialPoly(Frozen):
         object.__setattr__(self, "metric", metric)
         object.__setattr__(self, "radius", radius)
 
-    @property
-    def degree(self) -> int:
-        return max((q for _, _, q in self.terms), default=0)
-
     def coefficient(self, m: int, q: int) -> int:
         for coef, tm, tq in self.terms:
             if (tm, tq) == (m, q):
@@ -112,21 +108,13 @@ class RationalPoly(Frozen):
 
     @property
     def denominator(self) -> int:
-        d = 1
-        for c in self.coefficients:
-            d = d * c.denominator // math.gcd(d, c.denominator)
-        return d
+        return math.lcm(*(c.denominator for c in self.coefficients))
 
     @property
     def integer_coefficients(self) -> tuple[int, ...]:
         """Coefficients of denominator * poly, all integers."""
         d = self.denominator
-        out = []
-        for c in self.coefficients:
-            scaled = c * d
-            assert scaled.denominator == 1
-            out.append(scaled.numerator)
-        return tuple(out)
+        return tuple(c.numerator * (d // c.denominator) for c in self.coefficients)
 
     def __str__(self) -> str:
         def mono(i: int) -> str:
@@ -304,13 +292,3 @@ def hamming_sphere(n: int, j: int) -> int:
     if j > n:  # C(n, j) = 0: neither compute nor cache D_j
         return 0
     return derangements(j) * math.comb(n, j)
-
-
-def leading_term_check(k: int) -> bool:
-    """True iff the l1 sphere polynomial at radius 2k has leading term
-    exactly 1 * [n-k choose k] and every other term of lower degree."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    poly = sphere_polynomial(L1, 2 * k)
-    top = [(c, m, q) for c, m, q in poly.terms if q == k]
-    return top == [(1, 2 * k, k)]

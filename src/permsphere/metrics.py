@@ -111,19 +111,25 @@ def _kendall(w: Sequence[int]) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
 
 
+def position_cost(metric: MetricId, i: int, v: int) -> int:
+    """What value v at position i adds to the distance of a word under l1,
+    lp, linf or Hamming: |v - i|^p (p = 1 for l1 and linf), or 1 when v != i
+    for Hamming. linf folds these costs by max and the others by sum;
+    Kendall and Cayley have no per-position cost."""
+    if metric.kind == "hamming":
+        return int(v != i)
+    return abs(v - i) ** (metric.p or 1)
+
+
 def distance_to_identity(metric: MetricId, u: Permutation) -> int:
     """Distance from u to the identity, in native scale."""
     w = u.word
-    if metric.kind in ("l1", "lp"):
-        p = metric.p or 1
-        return sum(abs(v - i) ** p for i, v in enumerate(w, 1))
-    if metric.kind == "linf":
-        return max((abs(v - i) for i, v in enumerate(w, 1)), default=0)
-    if metric.kind == "hamming":
-        return sum(1 for i, v in enumerate(w, 1) if v != i)
     if metric.kind == "cayley":
         return _cayley(w)
-    return _kendall(w)
+    if metric.kind == "kendall":
+        return _kendall(w)
+    costs = [position_cost(metric, i, v) for i, v in enumerate(w, 1)]
+    return max(costs, default=0) if metric.kind == "linf" else sum(costs)
 
 
 def distance(metric: MetricId, u: Permutation, v: Permutation) -> int:

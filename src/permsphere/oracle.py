@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterable
 from functools import cache, partial
 from itertools import chain, combinations, permutations, product
 
-from .metrics import MetricId, distance_to_identity
+from .metrics import MetricId, distance_to_identity, position_cost
 from .perm import Permutation
 
 log = logging.getLogger(__name__)
@@ -172,14 +172,6 @@ def _split(n: int) -> int:
     return n - max(1, n // 2)
 
 
-def _position_costs(metric: MetricId, n: int) -> list[list[int]]:
-    """cost[i][v]: what value v at position i contributes."""
-    if metric.kind == "hamming":
-        return [[int(v != i) for v in range(n)] for i in range(n)]
-    p = metric.p or 1
-    return [[abs(v - i) ** p for v in range(n)] for i in range(n)]
-
-
 @cache
 def _shift_table(c: int, fold: Fold) -> bytes:
     """The bytes.translate table that folds cost c into each byte t: t + c,
@@ -227,10 +219,10 @@ def _group_suffix(metric: MetricId, k: int) -> bytes:
 
 def _walk_costs(metric: MetricId, n: int, packed: bool = True) -> _Tally:
     """l1, lp, Hamming and linf: value v at position i costs cost[i][v],
-    and the distance folds the costs, by sum (max for linf). The head and
-    suffix lists are bytes when ``packed``; otherwise they are ints, which
-    serves the sum metrics only."""
-    cost = _position_costs(metric, n)
+    its ``position_cost``, and the distance folds the costs, by sum (max for
+    linf). The head and suffix lists are bytes when ``packed``; otherwise
+    they are ints, which serves the sum metrics only."""
+    cost = [[position_cost(metric, i, v) for v in range(n)] for i in range(n)]
     fold = max if metric.kind == "linf" else sum
     top = fold(map(max, cost))
     if packed and top > 255:

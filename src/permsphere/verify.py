@@ -131,19 +131,7 @@ class VerifyReport(Record):
         self.checks.append(check)
 
     def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [
-                {
-                    "name": c.name,
-                    "formula": c.formula,
-                    "source": c.source,
-                    "values": c.values,
-                    "verdict": c.verdict,
-                }
-                for c in self.checks
-            ],
-        }
+        return {"ok": self.ok, "checks": [dict(zip(c.__slots__, c._fields())) for c in self.checks]}
 
 
 def _mismatch_check(

@@ -282,6 +282,76 @@ class TestVerify:
         assert report.ok and "printed-polynomial-k6-disputed-cell" not in {c.name for c in report.checks}
 
 
+def _off_by_one(fn):
+    return lambda *args, **kwargs: fn(*args, **kwargs) + 1
+
+
+def _printed(k, cell, coef):
+    """The printed radius-2k polynomial with the (m, q) cell's coefficient replaced."""
+    return tuple((coef if (m, q) == cell else c, m, q) for c, m, q in verify.PRINTED_SPHERE_POLYS[k])
+
+
+# Each case breaks one side of one check: (patch, check, max_n, max_k), where
+# patch applies the break through pytest's monkeypatch.
+MISMATCHES = {
+    "pipeline-vs-oracle": (
+        lambda mp: mp.setattr(verify, "pipeline_sphere", _off_by_one(verify.pipeline_sphere)),
+        "l1-oracle-equivalence-n2", 2, 1,
+    ),
+    "printed-k6-undisputed": (
+        lambda mp: mp.setitem(verify.PRINTED_SPHERE_POLYS, 6, _printed(6, (8, 2), 406)),
+        "printed-polynomial-k6-undisputed", 2, 6,
+    ),
+    "closed-form-vs-convolution": (
+        lambda mp: mp.setattr(verify, "beta", _off_by_one(verify.beta)), "closed-forms-vs-convolution", 2, 2,
+    ),
+    "series-vs-slice": (
+        lambda mp: mp.setattr(verify, "series_coefficients", lambda k, count: [1] * (count + 1)),
+        "series-vs-slice-polynomial", 2, 1,
+    ),
+    "truncated-identity": (
+        lambda mp: mp.setattr(verify, "q_polynomial", lambda k: growth.BinomialPoly(())),
+        "truncated-polynomial-identity", 2, 1,
+    ),
+    "hamming-formula": (
+        lambda mp: mp.setattr(verify, "hamming_sphere", lambda n, j: 0), "hamming-sphere-formula", 2, 1,
+    ),
+    "max-l1-closed": (lambda mp: mp.setattr(verify, "max_l1", lambda m: 0), "max-l1-distances", 2, 1),
+    "max-l1-maximizers": (lambda mp: mp.setitem(verify.MAX_L1_SPHERE, 4, 5), "max-l1-distances", 4, 1),
+}
+
+
+@pytest.mark.parametrize("patch, name, max_n, max_k", MISMATCHES.values(), ids=MISMATCHES.keys())
+def test_a_broken_side_fails_the_matrix(capsys, monkeypatch, patch, name, max_n, max_k):
+    patch(monkeypatch)
+    report = verify.run_verify(max_n, max_k)
+    check = {c.name: c for c in report.checks}[name]
+    assert check.verdict == verify.MISMATCH and check.values["mismatches"] != "none"
+    assert not report.ok
+    code, out = run(capsys, "verify", "--max-n", str(max_n), "--max-k", str(max_k))
+    assert code == 1 and out.endswith("INTERNAL MISMATCH DETECTED\n")
+
+
+# the disputed cell: the pipeline against the S_7 sweep fails the run; a
+# printed coefficient that agrees with the table makes the cell a match
+@pytest.mark.parametrize("broken", (True, False), ids=("pipeline-off", "printed-agrees"))
+def test_disputed_cell_verdicts(capsys, monkeypatch, broken):
+    if broken:
+        monkeypatch.setattr(verify, "pipeline_sphere", _off_by_one(verify.pipeline_sphere))
+    else:
+        agreed = growth.sphere_polynomial(L1, 12).coefficient(*verify.DISPUTED_P6_CELL)
+        monkeypatch.setitem(verify.PRINTED_SPHERE_POLYS, 6, _printed(6, verify.DISPUTED_P6_CELL, agreed))
+    report = verify.run_verify(2, 6, True)
+    check = {c.name: c for c in report.checks}["printed-polynomial-k6-disputed-cell"]
+    values = check.values
+    assert (values["pipeline-count-n7"] != values["oracle-count-n7"]) is broken
+    assert check.verdict == (verify.MISMATCH if broken else verify.MATCH)
+    assert report.ok is not broken
+    code, out = run(capsys, "verify", "--max-n", "2", "--max-k", "6", "--include-printed-p6")
+    assert code == int(broken)
+    assert out.endswith("INTERNAL MISMATCH DETECTED\n" if broken else "all internal checks passed\n")
+
+
 class TestOptions:
     def test_max_enum_degree_after_subcommand(self, capsys):
         code, out = run(capsys, "sphere", "--metric", "l1", "--n", "5", "--radius", "4",

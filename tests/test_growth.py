@@ -10,12 +10,12 @@ from permsphere import (
     L1,
     NOT_COVERED,
     BinomialPoly,
+    RationalPoly,
     ball_polynomial,
     beta,
     closed_form_beta,
     connected_beta,
     hamming_sphere,
-    leading_term_check,
     oracle_ball,
     oracle_sphere,
     pipeline_ball,
@@ -84,6 +84,8 @@ class TestBallPolynomial:
 
     def test_radius_two(self):
         poly = ball_polynomial(L1, 2)
+        # a term of degree 0 prints as its coefficient
+        assert str(poly) == "[n-1 choose 1] + 1"
         for n in range(1, 10):
             assert poly.evaluate(n) == n
 
@@ -136,6 +138,12 @@ class TestToRational:
         rational = to_rational(sphere_polynomial(L1, 6))
         assert rational.denominator == 6
         assert rational.integer_coefficients == (-6, -25, 6, 1)
+
+    def test_denominator_is_the_least_common_multiple(self):
+        assert RationalPoly(()).denominator == 1
+        assert RationalPoly((0, 0)).integer_coefficients == (0,)
+        mixed = RationalPoly((Fraction(1, 6), Fraction(1, 4)))
+        assert mixed.denominator == 12 and mixed.integer_coefficients == (2, 3)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_leading_coefficient(self, k):
@@ -317,7 +325,9 @@ class TestHamming:
 class TestLeadingTerm:
     @pytest.mark.parametrize("k", (1, 3, 6))
     def test_true_cases(self, k):
-        assert leading_term_check(k)
+        # 1 * [n-k choose k] is the one term of degree k, and none is higher
+        terms = sphere_polynomial(L1, 2 * k).terms
+        assert [(c, m, q) for c, m, q in terms if q >= k] == [(1, 2 * k, k)]
 
 
 class TestSerialization:

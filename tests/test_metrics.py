@@ -65,6 +65,7 @@ class TestMetricId:
         assert L1.kind == "l1" and lp(2).p == 2
 
     def test_repr(self):
+        assert str(KENDALL) == "kendall"
         assert repr(L1) == "MetricId(kind='l1', p=None)"
         assert repr(lp(3)) == "MetricId(kind='lp', p=3)"
 
@@ -117,6 +118,19 @@ class TestDistanceToIdentity:
     def test_lp_native_scale(self):
         assert distance_to_identity(lp(2), parse("3 2 1")) == 8
         assert distance_to_identity(lp(3), parse("2 1")) == 2
+
+    # the per-position metrics, from their definitions on the word
+    @pytest.mark.parametrize("metric, formula", [
+        (L1, lambda w: sum(abs(v - i) for i, v in enumerate(w, 1))),
+        (lp(2), lambda w: sum(abs(v - i) ** 2 for i, v in enumerate(w, 1))),
+        (lp(3), lambda w: sum(abs(v - i) ** 3 for i, v in enumerate(w, 1))),
+        (LINF, lambda w: max([abs(v - i) for i, v in enumerate(w, 1)] + [0])),
+        (HAMMING, lambda w: sum(v != i for i, v in enumerate(w, 1))),
+    ], ids=("l1", "lp:2", "lp:3", "linf", "hamming"))
+    def test_per_position_metrics_match_the_word_formula(self, metric, formula):
+        for n in range(1, 8):
+            for w in words(n):
+                assert distance_to_identity(metric, Permutation(w)) == formula(w)
 
 
 class TestPairwiseDistance:

@@ -52,6 +52,9 @@ class TestEquality:
     def test_distinct(self):
         assert parse("2 1") != parse("1 2")
 
+    def test_not_equal_to_its_word(self):
+        assert (Permutation((1,)) == (1,)) is False
+
     def test_identity_degrees(self):
         assert Permutation.identity(5) == Permutation.identity(0)
 
@@ -124,6 +127,10 @@ class TestSplitType:
         st = Permutation.identity(4).split_type()
         assert (st.m, st.q) == (0, 0)
         assert st.parts == ()
+
+    def test_str(self):
+        assert str(SplitType(())) == "(empty)"
+        assert str(parse("2 1 4 3").split_type()) == "2 1 + 2 1"
 
     def test_transposition(self):
         st = parse("2 1").split_type()
