@@ -103,7 +103,8 @@ def _route(metric: MetricId) -> tuple[int, Callable, Callable[[int], int]]:
 # degree), the memo behind connected_histogram. A read it does not cover
 # scans again, at the read's bounds the first time and at least doubling
 # each outgrown bound after that, so a table grown a step at a time rescans
-# only a few times.
+# only a few times. A cold sphere or ball grows the table once, from the
+# widest cell of its outermost sphere, so it scans once, at exact bounds.
 _scans: dict[str, tuple[int, int, list[dict[int, int]]]] = {}
 
 
@@ -266,6 +267,9 @@ def _sphere_terms(metric: MetricId, radius: int, top: int) -> Terms:
         terms: Terms = ((1, 0, 0),)  # the identity, whose split type is empty
     else:
         bound = size_bound(metric, radius)
+        # the widest cell, q = 1 and s = min(top - 1, N(R)) at t = N(R), grows
+        # the table to hold every cell of this sphere, so the base is scanned once
+        table.beta(radius, min(top, 1 + bound), 1)
         # every part has degree >= 2, so 2q <= m, and m - q <= N(R)
         cells = ((m, q) for q in range(1, min(bound, top // 2) + 1)
                  for m in range(2 * q, min(top, q + bound) + 1))
@@ -282,8 +286,11 @@ def ball_terms(metric: MetricId, radius: int, top: int) -> Terms:
     over radii <= R."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    step, _, farthest = _route(metric)
     # no split type with m <= top lies farther out
-    radius = min(radius, _route(metric)[2](top))
+    radius = min(radius, farthest(top))
+    # the outermost attainable sphere first, so the table grows once
+    sphere_terms(metric, radius - radius % step, top)
     acc: dict[tuple[int, int], int] = {}
     for r in (0, *attainable_radii(metric, radius)):
         for c, m, q in sphere_terms(metric, r, top):
@@ -329,10 +336,12 @@ def expand_terms(terms: Terms) -> tuple[tuple[int, ...], int]:
 # A ball is its spheres summed: the ball form at R is the ball form at the
 # attainable radius one step in, keyed on min(top, 2(R - step)), plus the
 # sphere form at R, which is the key a sphere query at the same n uses. So a
-# ball whose inner ball is built costs one vector add. A cold chain is built
-# innermost first, so no call nests more than one ball deep however many
-# radii the ball holds (496 for Kendall S_32). Below the forms, a cell past
-# farthest(m) reads 0 without growing the table.
+# ball whose inner ball is built costs one vector add. A cold chain builds
+# its outermost sphere form first, whose widest cell grows the table to hold
+# every inner sphere's cells, and then its balls innermost first, so no call
+# nests more than one ball deep however many radii the ball holds (496 for
+# Kendall S_32). Below the forms, a cell past farthest(m) reads 0 without
+# growing the table.
 
 
 def _sum_forms(
@@ -360,11 +369,14 @@ def _pipeline_form(
         # no split type with m <= top lies past farthest(top)
         last = min(radius, farthest(top))
         last -= last % step
+        # the outermost sphere first: it grows the table once, so every inner
+        # sphere finds its cells built
+        outer = _pipeline_form(metric, last, min(top, 2 * last), False)
         form = ((0,), 1)
         # innermost first: each inner ball finds the one inside it built
         for r in range(0, last, step):
             form = _pipeline_form(metric, r, min(top, 2 * r), True)
-        form = _sum_forms(form, _pipeline_form(metric, last, min(top, 2 * last), False))
+        form = _sum_forms(form, outer)
         detail = ""
     else:
         terms = sphere_terms(metric, radius, top)

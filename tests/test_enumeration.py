@@ -770,7 +770,10 @@ class TestPipeline:
         read = BetaTable.beta
         monkeypatch.setattr(BetaTable, "beta", lambda table, r, m, q: cells.append((m, q)) or read(table, r, m, q))
         terms = sphere_terms(metric, radius, top)
-        walked, bound = list(cells), size_bound(metric, radius)
+        bound = size_bound(metric, radius)
+        # the widest cell first, which grows the table once; then the walk
+        assert cells[0] == (min(top, 1 + bound), 1)
+        walked = cells[1:]
         assert walked and all(m - q <= bound and m <= top for m, q in walked)
         assert [(m, q) for _, m, q in terms] == [(m, q) for m, q in walked if beta(metric, radius, m, q)]
 
@@ -784,39 +787,67 @@ class TestPipeline:
         with caplog.at_level(logging.DEBUG, logger="permsphere.pipeline"):
             assert pipeline_ball(L1, 10, 6) == 286
         messages = [r.getMessage() for r in caplog.records]
-        bases = [text for text in messages if text.startswith("connected base up to degree ")]
-        forms = [text for text in messages if text.startswith("pipeline ")]
-        # one scan per growth of the base: exact bounds first, then doubled
-        assert [text.split()[5].rstrip(",") for text in bases] == ["2", "4", "4"]
-        assert [text.split()[8].rstrip(",") for text in bases] == ["2", "4", "8"]
-        assert all(" under l1: " in text and text.endswith(" s") for text in bases)
-        # a ball form is the ball one radius in plus the sphere form at its
-        # radius, the chain built innermost first
-        keys = [(0, 0), (2, 4), (4, 8), (6, 10)]
-        assert [text.split(": ")[0] for text in forms] == [
-            f"pipeline {kind} form at radius {r}, m <= {top}, under l1"
-            for r, top in keys
-            for kind in ("sphere", "ball")
+        # the whole log, in order: one scan, inside the outermost sphere's
+        # terms, as the table grows once to that sphere's bounds; then the
+        # chain, innermost first, each ball the ball one radius in plus the
+        # sphere form at its radius
+        keys = [(6, 10), (0, 0), (2, 4), (4, 8)]
+        assert [text.split(" under l1: ")[0] for text in messages] == [
+            "connected base up to degree 4, distances <= 6,",
+            "sphere terms at radius 6, m <= 6,",
+            "pipeline sphere form at radius 6, m <= 10,",
+            *(line
+              for r, top in keys[1:]
+              for line in (f"sphere terms at radius {r}, m <= {r},",
+                           f"pipeline sphere form at radius {r}, m <= {top},",
+                           f"pipeline ball form at radius {r}, m <= {top},")),
+            "pipeline ball form at radius 6, m <= 10,",
         ]
-        assert all(text.endswith(" s") for text in forms)
+        assert all(text.endswith(" s") for text in messages)
+        forms = [text for text in messages if text.startswith("pipeline ")]
         assert forms[-1].startswith("pipeline ball form at radius 6, m <= 10, under l1: degree 3 in ")
-        assert " terms of degree 3 in " in forms[-2]
+        assert " terms of degree 3 in " in forms[0]
         # one line per cold sphere_terms: cells, newly built cells, seconds
         cells = [text for text in messages if text.startswith("sphere terms at radius ")]
-        assert [text.split()[4].rstrip(",") for text in cells] == ["0", "2", "4", "6"]
-        # each inner sphere under its own key, m <= min(top, 2 N(r))
-        assert [text.split(", m <= ")[1].split(",")[0] for text in cells] == ["0", "2", "4", "6"]
-        assert all(", under l1: " in text and text.endswith(" s") for text in cells)
         assert [int(text.split(": ")[1].split()[0]) for text in cells] == [
             len(sphere_terms(L1, r, top)) for r, top in keys
         ]
+        # the outermost sphere builds every cell; the inner ones find theirs built
         built = [int(text.split(" cells, ")[1].split()[0]) for text in cells]
-        assert built[0] == 0 and sum(built) == pipeline.beta_table(L1).cells
-        assert len(messages) == 15
+        assert built == [6, 0, 0, 0] and pipeline.beta_table(L1).cells == 6
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="permsphere.pipeline"):
             assert pipeline_ball(L1, 10, 6) == 286
         assert caplog.records == []
+
+    @pytest.mark.parametrize(
+        "build, bounds",
+        [
+            (lambda: pipeline_ball(KENDALL, 100, 8), (9, 8)),
+            (lambda: ball_polynomial(KENDALL, 12), (13, 12)),
+            (lambda: pipeline_sphere(L1, 100, 18), (10, 18)),
+            (lambda: sphere_polynomial(L1, 16), (9, 16)),
+            (lambda: pipeline_ball(L1, 200, 40), (21, 40)),
+            # an odd l1 radius: the outermost sphere is the attainable one inside
+            (lambda: ball_polynomial(L1, 9), (5, 8)),
+        ],
+        ids=[
+            "ball-kendall-100-8", "ball-poly-kendall-12", "sphere-l1-100-18", "sphere-poly-l1-16",
+            "ball-l1-200-40", "ball-poly-l1-9",
+        ],
+    )
+    def test_cold_build_scans_once(self, caplog, build, bounds):
+        # the widest cell is read first, so the table grows once and the base
+        # is scanned once, at exact bounds
+        for memo in (pipeline._sphere_terms, pipeline.beta_table, pipeline._pipeline_form):
+            memo.cache_clear()
+        pipeline._scans.clear()
+        with caplog.at_level(logging.DEBUG, logger="permsphere.pipeline"):
+            build()
+        scans = [r.getMessage() for r in caplog.records if r.getMessage().startswith("connected base ")]
+        assert [text.split(" under ")[0] for text in scans] == [
+            "connected base up to degree %d, distances <= %d," % bounds
+        ]
 
     # a ball form is the ball one radius in plus one sphere form; the
     # merged ball terms are the independent side

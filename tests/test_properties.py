@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from permsphere import (
     KENDALL,
     L1,
+    BetaTable,
     Permutation,
     distance,
     distance_to_identity,
@@ -70,3 +71,24 @@ def test_inverse_and_compose(u, v):
     n = max(u.degree, v.degree)
     assert u * u.inverse() == Permutation.identity(0)
     assert (u * v).inverse() == v.inverse() * u.inverse()
+
+
+@given(
+    st.sampled_from([L1, KENDALL]),
+    st.lists(st.tuples(st.integers(0, 24), st.integers(0, 26), st.integers(0, 13)), min_size=1, max_size=12),
+)
+@settings(max_examples=60, deadline=None)
+def test_beta_table_does_not_depend_on_read_order(metric, reads):
+    table, reference = BetaTable(metric), BetaTable(metric)
+    step, farthest = table.step, table.farthest
+    # the widest read: q = 1 at the largest size and total of the reads; no
+    # cell of size <= s lies past farthest(s + 1)
+    total = max(radius // step for radius, _, _ in reads)
+    size = max(0, min(max(m - q for _, m, q in reads), total))
+    reference.beta(step * min(total, farthest(size + 1) // step), size + 1, 1)
+    grown = reference.total, reference.size, reference.cells
+    for radius, m, q in reads:
+        assert table.beta(radius, m, q) == reference.beta(radius, m, q)
+    assert (reference.total, reference.size, reference.cells) == grown
+    for key, row in table.rows.items():
+        assert reference.rows[key][:len(row)] == row
