@@ -100,12 +100,14 @@ def _route(metric: MetricId) -> tuple[int, Callable, Callable[[int], int]]:
 
 
 # The latest scan of each base: kind -> (degrees, radius, histograms by
-# degree), the memo behind connected_histogram. A read it does not cover
-# scans again, at the read's bounds the first time and at least doubling
-# each outgrown bound after that, so a table grown a step at a time rescans
-# only a few times. A cold sphere or ball grows the table once, from the
-# widest cell of its outermost sphere, so it scans once, at exact bounds.
-_scans: dict[str, tuple[int, int, list[dict[int, int]]]] = {}
+# degree, the largest degree and distance read since), the memo behind
+# connected_histogram. A read it does not cover scans again, at the read's
+# bounds the first time. After that each outgrown bound at least doubles, so
+# a scan grown a step at a time rescans only a few times, and the other
+# keeps only what the reads since the last scan needed, so one deep read
+# does not widen every later scan. A cold build, and the verify matrix, read
+# each table's widest cell first, so they scan once, at exact bounds.
+_scans: dict[str, tuple[int, int, list[dict[int, int]], int, int]] = {}
 
 
 def connected_histogram(metric: MetricId, m: int, radius: int | None = None) -> dict[int, int]:
@@ -118,17 +120,19 @@ def connected_histogram(metric: MetricId, m: int, radius: int | None = None) -> 
         return {}
     # no word of S_m lies past farthest(m): the whole histogram is the cut there
     need = farthest(m) if radius is None else radius
-    degrees, bound, hists = _scans.get(metric.kind, (0, 0, []))
+    degrees, bound, hists, read_m, read_d = _scans.get(metric.kind, (0, 0, [], 0, 0))
     if m > degrees or need > bound:
         began = time.perf_counter()
-        degrees = max(m, 2 * degrees) if m > degrees else degrees
-        bound = max(need, 2 * bound) if need > bound else bound
+        degrees = max(m, 2 * degrees) if m > degrees else max(m, read_m)
+        bound = max(need, 2 * bound) if need > bound else max(need, read_d)
         hists = base(degrees, bound)
-        _scans[metric.kind] = degrees, bound, hists
+        _scans[metric.kind] = degrees, bound, hists, 0, 0
         log.debug(
             "connected base up to degree %d, distances <= %d, under %s: %d distances in %.3f s",
             degrees, bound, metric.name, sum(map(len, hists[2:])), time.perf_counter() - began,
         )
+    elif m > read_m or need > read_d:
+        _scans[metric.kind] = degrees, bound, hists, max(m, read_m), max(need, read_d)
     return {d: c for d, c in hists[m].items() if d <= need}
 
 
@@ -336,12 +340,14 @@ def expand_terms(terms: Terms) -> tuple[tuple[int, ...], int]:
 # A ball is its spheres summed: the ball form at R is the ball form at the
 # attainable radius one step in, keyed on min(top, 2(R - step)), plus the
 # sphere form at R, which is the key a sphere query at the same n uses. So a
-# ball whose inner ball is built costs one vector add. A cold chain builds
-# its outermost sphere form first, whose widest cell grows the table to hold
-# every inner sphere's cells, and then its balls innermost first, so no call
-# nests more than one ball deep however many radii the ball holds (496 for
-# Kendall S_32). Below the forms, a cell past farthest(m) reads 0 without
-# growing the table.
+# ball whose inner ball is built costs one vector add. A cold ball builds its
+# outermost sphere form first, whose widest cell grows the table to hold
+# every inner sphere's cells. It then walks inward to the nearest ball form
+# built and builds the balls outward from there, each reading the one inside
+# it once, so no call nests more than one ball deep however many radii the
+# ball holds (496 for Kendall S_32), and a ball one radius past a built one
+# builds only its own two forms. Below the forms, a cell past farthest(m)
+# reads 0 without growing the table.
 
 
 def _sum_forms(
@@ -357,12 +363,19 @@ def _sum_forms(
     return a[:skip] + tuple(x + scale * y for x, y in zip(a[skip:], b)), d
 
 
-@cache
+# (metric, radius, top, ball) -> form: the memo behind _pipeline_form, a dict
+# so that a cold ball can find the nearest ball form built
+_forms: dict[tuple[MetricId, int, int, bool], tuple[tuple[int, ...], int]] = {}
+
+
 def _pipeline_form(
     metric: MetricId, radius: int, top: int, ball: bool
 ) -> tuple[tuple[int, ...], int]:
     """expand_terms of the sphere or ball terms with m <= top, its
     coefficients highest degree first, as Horner's rule reads them."""
+    key = metric, radius, top, ball
+    if key in _forms:
+        return _forms[key]
     began = time.perf_counter()
     if ball:
         step, _, farthest = _route(metric)
@@ -372,9 +385,13 @@ def _pipeline_form(
         # the outermost sphere first: it grows the table once, so every inner
         # sphere finds its cells built
         outer = _pipeline_form(metric, last, min(top, 2 * last), False)
-        form = ((0,), 1)
-        # innermost first: each inner ball finds the one inside it built
-        for r in range(0, last, step):
+        # inward to the nearest ball built, then outward: each inner ball
+        # finds the one inside it built
+        r = last - step
+        while r >= 0 and (metric, r, min(top, 2 * r), True) not in _forms:
+            r -= step
+        form = _forms[metric, r, min(top, 2 * r), True] if r >= 0 else ((0,), 1)
+        for r in range(r + step, last, step):
             form = _pipeline_form(metric, r, min(top, 2 * r), True)
         form = _sum_forms(form, outer)
         detail = ""
@@ -387,6 +404,7 @@ def _pipeline_form(
         "ball" if ball else "sphere", radius, top, metric.name, detail, len(form[0]) - 1,
         time.perf_counter() - began,
     )
+    _forms[key] = form
     return form
 
 
@@ -398,7 +416,11 @@ def _pipeline_count(metric: MetricId, n: int, radius: int, ball: bool) -> int:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     top = 2 * radius
-    coefficients, denominator = _pipeline_form(metric, radius, n if n < top else top, ball)
+    key = metric, radius, n if n < top else top, ball
+    try:
+        coefficients, denominator = _forms[key]
+    except KeyError:
+        coefficients, denominator = _pipeline_form(*key)
     total = 0
     for c in coefficients:
         total = total * n + c

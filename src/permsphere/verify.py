@@ -183,6 +183,13 @@ def run_verify(
     check_cap(max(max_n, 7) if include_printed_p6 and max_k >= 6 else max_n, cap)
     report = VerifyReport()
 
+    # each table's widest cell first, so that it grows once and its base is
+    # scanned once: l1 reads spheres of S_max_n, to radius max_l1(max_n), and
+    # cells of radius 2k with m - q <= k, for k <= max_k; Kendall reads
+    # spheres of S_max_n
+    beta(L1, 2 * max(max_l1(max_n) // 2, max_k), max(max_n - 1, max_k) + 1, 1)
+    beta(KENDALL, max_n * (max_n - 1) // 2, max_n, 1)
+
     # pipeline vs oracle, l1 and Kendall
     for n in range(2, max_n + 1):
         for metric in (L1, KENDALL):

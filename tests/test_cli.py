@@ -171,8 +171,9 @@ class TestPoly:
     def test_eval_builds_no_base_above_n(self, capsys, monkeypatch):
         from permsphere.pipeline import connected_histogram
 
-        for memo in (pipeline._sphere_terms, pipeline.beta_table, pipeline._pipeline_form):
+        for memo in (pipeline._sphere_terms, pipeline.beta_table):
             memo.cache_clear()
+        pipeline._forms.clear()
         degrees = []
         monkeypatch.setattr(
             pipeline,

@@ -161,7 +161,7 @@ def perfbench_lines():
 
 def test_pinned_lines_are_found():
     assert len(readme_lines()) == 11
-    assert len(tier1_lines()) == 19
+    assert len(tier1_lines()) == 20
     assert all(line in tier1_lines() for line in TIER1_ARGPARSE)
 
 

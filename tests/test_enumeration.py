@@ -467,8 +467,9 @@ class TestConnectedBase:
     )
     def test_reads_after_a_deep_build_are_fresh_scans(self, metric, build, depth):
         _, scan, farthest = _route(metric)
-        for memo in (pipeline._sphere_terms, pipeline.beta_table, pipeline._pipeline_form):
+        for memo in (pipeline._sphere_terms, pipeline.beta_table):
             memo.cache_clear()
+        pipeline._forms.clear()
         pipeline._scans.clear()
         build(metric, depth)
         assert pipeline._scans[metric.kind][0] > 15
@@ -477,6 +478,26 @@ class TestConnectedBase:
         for radius in (0, 3, 17, 40, 150):
             for m in range(2, 16):
                 assert connected_histogram(metric, m, radius) == scan(m, radius)[m]
+
+    # a whole read and then a deeper build: the rescan for the larger degree
+    # keeps only the distances the build reads, not the whole read's 450
+    def test_a_rescan_keeps_only_the_bounds_read_since(self, caplog):
+        for memo in (pipeline._sphere_terms, pipeline.beta_table):
+            memo.cache_clear()
+        pipeline._scans.clear()
+        with caplog.at_level(logging.DEBUG, logger="permsphere.pipeline"):
+            connected_histogram(L1, 30)
+            poly = sphere_polynomial(L1, 60)
+        scans = [r.getMessage().split(" under ")[0] for r in caplog.records
+                 if r.getMessage().startswith("connected base ")]
+        assert scans == [
+            "connected base up to degree 30, distances <= 450,",
+            "connected base up to degree 60, distances <= 60,",
+        ]
+        for memo in (pipeline._sphere_terms, pipeline.beta_table):
+            memo.cache_clear()
+        pipeline._scans.clear()
+        assert sphere_polynomial(L1, 60).terms == poly.terms
 
 
 # the histograms a reader returns are the caller's own: editing them changes
@@ -731,8 +752,9 @@ class TestPipeline:
     def test_query_builds_no_base_above_n(self, monkeypatch):
         from permsphere import pipeline
 
-        for memo in (pipeline._sphere_terms, pipeline.beta_table, pipeline._pipeline_form):
+        for memo in (pipeline._sphere_terms, pipeline.beta_table):
             memo.cache_clear()
+        pipeline._forms.clear()
         degrees = []
         monkeypatch.setattr(
             pipeline,
@@ -744,8 +766,8 @@ class TestPipeline:
         assert degrees and max(degrees) <= 3
 
     def test_polynomial_is_the_query_at_top_2r(self):
-        for memo in (pipeline._sphere_terms, pipeline._pipeline_form):
-            memo.cache_clear()
+        pipeline._sphere_terms.cache_clear()
+        pipeline._forms.clear()
         poly = sphere_polynomial(L1, 16)
         misses = pipeline._sphere_terms.cache_info().misses
         assert pipeline_sphere(L1, 40, 16) == poly.evaluate(40)
@@ -754,8 +776,8 @@ class TestPipeline:
     def test_one_key_per_inner_sphere(self):
         from permsphere import verify
 
-        for memo in (pipeline._sphere_terms, pipeline._pipeline_form):
-            memo.cache_clear()
+        pipeline._sphere_terms.cache_clear()
+        pipeline._forms.clear()
         verify.run_verify(8, 8, True)
         # a ball's inner spheres keyed on the ball's own top took 154 keys,
         # and keyed on min(top, 2r) 126; sphere_terms keys on min(top, 2 N(R))
@@ -781,8 +803,9 @@ class TestPipeline:
         from permsphere import pipeline
         from permsphere.pipeline import sphere_terms
 
-        for memo in (pipeline._sphere_terms, pipeline.beta_table, pipeline._pipeline_form):
+        for memo in (pipeline._sphere_terms, pipeline.beta_table):
             memo.cache_clear()
+        pipeline._forms.clear()
         pipeline._scans.clear()
         with caplog.at_level(logging.DEBUG, logger="permsphere.pipeline"):
             assert pipeline_ball(L1, 10, 6) == 286
@@ -839,8 +862,9 @@ class TestPipeline:
     def test_cold_build_scans_once(self, caplog, build, bounds):
         # the widest cell is read first, so the table grows once and the base
         # is scanned once, at exact bounds
-        for memo in (pipeline._sphere_terms, pipeline.beta_table, pipeline._pipeline_form):
+        for memo in (pipeline._sphere_terms, pipeline.beta_table):
             memo.cache_clear()
+        pipeline._forms.clear()
         pipeline._scans.clear()
         with caplog.at_level(logging.DEBUG, logger="permsphere.pipeline"):
             build()
@@ -848,6 +872,33 @@ class TestPipeline:
         assert [text.split(" under ")[0] for text in scans] == [
             "connected base up to degree %d, distances <= %d," % bounds
         ]
+
+    # the verify matrix reads each table's widest cell first, so a mixed
+    # sequence of spheres, balls, polynomials and single cells grows each
+    # table once and scans each base once, at exact bounds
+    @pytest.mark.parametrize(
+        "args, l1_bounds", [((8, 8, True), (9, 32)), ((8, 40), (41, 80))], ids=["8-8-p6", "8-40"]
+    )
+    def test_mixed_sequence_scans_once(self, caplog, monkeypatch, args, l1_bounds):
+        from permsphere import verify
+
+        for memo in (pipeline._sphere_terms, pipeline.beta_table):
+            memo.cache_clear()
+        pipeline._forms.clear()
+        pipeline._scans.clear()
+        grows = []
+        grow = BetaTable._grow
+        monkeypatch.setattr(
+            BetaTable, "_grow", lambda table, t, s: grows.append(table.metric) or grow(table, t, s)
+        )
+        with caplog.at_level(logging.DEBUG, logger="permsphere.pipeline"):
+            assert verify.run_verify(*args).ok
+        scans = [r.getMessage() for r in caplog.records if r.getMessage().startswith("connected base ")]
+        assert [text.split(": ")[0] for text in scans] == [
+            "connected base up to degree %d, distances <= %d, under l1" % l1_bounds,
+            "connected base up to degree 8, distances <= 28, under kendall",
+        ]
+        assert grows == [L1, KENDALL]
 
     # a ball form is the ball one radius in plus one sphere form; the
     # merged ball terms are the independent side
@@ -865,7 +916,7 @@ class TestPipeline:
     def test_cold_ball_chain_stays_shallow(self):
         import sys
 
-        pipeline._pipeline_form.cache_clear()
+        pipeline._forms.clear()
         depth, frame = 0, sys._getframe()
         while frame:
             depth, frame = depth + 1, frame.f_back
@@ -875,6 +926,33 @@ class TestPipeline:
             assert pipeline_ball(KENDALL, 18, 153) == math.factorial(18)
         finally:
             sys.setrecursionlimit(limit)
+
+    # a cold ball starts from the nearest ball built: one radius past a
+    # built ball, it builds its own two forms and reads the one inside once
+    def test_ball_past_a_built_ball_reads_it_once(self, caplog, monkeypatch):
+        from permsphere.pipeline import ball_terms, expand_terms
+
+        class Reads(dict):
+            def __getitem__(self, key):
+                read.append(key)
+                return dict.__getitem__(self, key)
+
+        read = []
+        monkeypatch.setattr(pipeline, "_forms", Reads())
+        pipeline_ball(KENDALL, 32, 400)
+        read.clear()
+        with caplog.at_level(logging.DEBUG, logger="permsphere.pipeline"):
+            pipeline_ball(KENDALL, 32, 401)
+        forms = [r.getMessage().split(" under ")[0] for r in caplog.records
+                 if r.getMessage().startswith("pipeline ")]
+        assert forms == [
+            "pipeline sphere form at radius 401, m <= 32,",
+            "pipeline ball form at radius 401, m <= 32,",
+        ]
+        # the query's own key first, which misses
+        assert read == [(KENDALL, 401, 32, True), (KENDALL, 400, 32, True)]
+        a, denominator = expand_terms(ball_terms(KENDALL, 401, 32))
+        assert pipeline._forms[KENDALL, 401, 32, True] == (a[::-1], denominator)
 
     def test_ball_of_maximal_radius_is_the_group(self):
         for n in range(1, 12):
