@@ -101,12 +101,12 @@ def _route(metric: MetricId) -> tuple[int, Callable, Callable[[int], int]]:
 
 # The latest scan of each base: kind -> (degrees, radius, histograms by
 # degree, the largest degree and distance read since), the memo behind
-# connected_histogram. A read it does not cover scans again, at the read's
-# bounds the first time. After that each outgrown bound at least doubles, so
-# a scan grown a step at a time rescans only a few times, and the other
-# keeps only what the reads since the last scan needed, so one deep read
-# does not widen every later scan. A cold build, and the verify matrix, read
-# each table's widest cell first, so they scan once, at exact bounds.
+# connected_histogram. A read it does not cover scans again, at the largest
+# degree and distance read since the last scan, this read included, so one
+# deep read does not widen every later scan. A cold build, and the verify
+# matrix, read each table's widest cell first, so they scan once, at exact
+# bounds, and a build grown a step at a time scans once per step, at that
+# step's bounds.
 _scans: dict[str, tuple[int, int, list[dict[int, int]], int, int]] = {}
 
 
@@ -123,8 +123,7 @@ def connected_histogram(metric: MetricId, m: int, radius: int | None = None) -> 
     degrees, bound, hists, read_m, read_d = _scans.get(metric.kind, (0, 0, [], 0, 0))
     if m > degrees or need > bound:
         began = time.perf_counter()
-        degrees = max(m, 2 * degrees) if m > degrees else max(m, read_m)
-        bound = max(need, 2 * bound) if need > bound else max(need, read_d)
+        degrees, bound = max(m, read_m), max(need, read_d)
         hists = base(degrees, bound)
         _scans[metric.kind] = degrees, bound, hists, 0, 0
         log.debug(
@@ -173,7 +172,6 @@ class BetaTable:
         self.step, _, self.farthest = _route(metric)
         self.total = self.size = self.cells = 0
         self.rows: dict[tuple[int, int], list[int]] = {}
-        self.open: list[tuple[int, int, int]] = []  # (q, s, last) of the rows the total cuts
 
     def _last(self, q: int, s: int) -> int:
         # farthest is convex: q parts of size s lie no farther than one of
@@ -198,24 +196,22 @@ class BetaTable:
         # s <= t, and no split type of size <= S lies past farthest(S + 1)
         size = max(self.size, min(size, total))
         total = max(self.total, min(total, self.farthest(size + 1) // self.step))
+        self.total, self.size = total, size
         # fewer parts first, as a row reads the rows with one part fewer, and
-        # the largest part first, so that one scan of the base serves them all
-        rows = sorted(self.open + [(q, s, self._last(q, s)) for s in range(self.size + 1, size + 1)
-                                   for q in range(1, s + 1)], key=lambda row: (row[0], -row[1]))
-        self.total, self.size, self.open = total, size, []
-        for q, s, last in rows:
-            row = self.rows.setdefault((q, s), [])
-            end = min(total, last) - s
-            if last > total:
-                self.open.append((q, s, last))
-            if len(row) > end:
-                continue
-            self.cells += end + 1 - len(row)
-            if q == 1:
-                hist = connected_histogram(self.metric, s + 1, self.step * total)
-                row += [hist.get(self.step * (s + e), 0) for e in range(len(row), end + 1)]
-            else:
-                row += self._convolve(q, s, len(row), end)
+        # the largest part first, so that one scan of the base serves them all;
+        # a row an earlier total cut resumes at its length, a whole one is skipped
+        for q in range(1, size + 1):
+            for s in range(size, q - 1, -1):
+                row = self.rows.setdefault((q, s), [])
+                end = min(total, self._last(q, s)) - s
+                if len(row) > end:
+                    continue
+                self.cells += end + 1 - len(row)
+                if q == 1:
+                    hist = connected_histogram(self.metric, s + 1, self.step * total)
+                    row += [hist.get(self.step * (s + e), 0) for e in range(len(row), end + 1)]
+                else:
+                    row += self._convolve(q, s, len(row), end)
 
     def _convolve(self, q: int, s: int, lo: int, hi: int) -> list[int]:
         """Excesses lo..hi of row (q, s): a part of size s1, then q - 1 parts."""

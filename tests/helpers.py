@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from scratch against the raw
 definitions (itertools sweeps, prefix checks, BFS in the Cayley graph)
-so the tests never validate the library against itself.
+so the tests never validate the library against itself. cold_pipeline
+only empties the pipeline's memos, for tests that read it from cold.
 """
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import math
 from collections import deque
 from fractions import Fraction
 from typing import Iterable, Iterator
+
+from permsphere import pipeline
 
 
 def words(n: int) -> Iterator[tuple[int, ...]]:
@@ -233,3 +236,12 @@ def rational_expansion(terms: Iterable[tuple[int, int, int]]) -> list[Fraction]:
             for i in range(width)
         ]
     return coeffs
+
+
+def cold_pipeline() -> None:
+    """Empty every memo of the split-type pipeline, as in a fresh interpreter:
+    the base scans, the beta tables, the sphere terms and the forms."""
+    pipeline._scans.clear()
+    pipeline._forms.clear()
+    pipeline._sphere_terms.cache_clear()
+    pipeline.beta_table.cache_clear()

@@ -15,6 +15,8 @@ from permsphere.cli import main
 from permsphere.oracle import EnumerationCapError
 from permsphere.metrics import MetricId
 
+from helpers import cold_pipeline
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -171,9 +173,7 @@ class TestPoly:
     def test_eval_builds_no_base_above_n(self, capsys, monkeypatch):
         from permsphere.pipeline import connected_histogram
 
-        for memo in (pipeline._sphere_terms, pipeline.beta_table):
-            memo.cache_clear()
-        pipeline._forms.clear()
+        cold_pipeline()
         degrees = []
         monkeypatch.setattr(
             pipeline,

@@ -135,9 +135,10 @@ def readme_lines():
 
 def tier1_lines():
     """Each ``permsphere`` call of the tier-1 workflow that names no shell
-    variable, up to its redirections."""
+    variable, up to its redirections, with or without a ``timeout N`` before it."""
     text = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
-    calls = re.findall(r"(?:^\s*(?:run: )?|\$\()permsphere ([^$\n]*?)\s*(?:\d?>.*|\).*)?$", text, re.MULTILINE)
+    calls = re.findall(r"(?:^\s*(?:run: )?|\$\()(?:timeout \d+ )?permsphere ([^$\n]*?)\s*(?:\d?>.*|\).*)?$",
+                       text, re.MULTILINE)
     return [shlex.split(call) for call in calls]
 
 
@@ -161,7 +162,7 @@ def perfbench_lines():
 
 def test_pinned_lines_are_found():
     assert len(readme_lines()) == 11
-    assert len(tier1_lines()) == 20
+    assert len(tier1_lines()) == 22
     assert all(line in tier1_lines() for line in TIER1_ARGPARSE)
 
 

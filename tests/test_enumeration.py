@@ -30,6 +30,7 @@ from permsphere.metrics import MetricId, max_l1
 
 from helpers import (
     brute_connected_histogram,
+    cold_pipeline,
     direct_split_type_counts,
     mahonian,
     rencontres,
@@ -467,10 +468,7 @@ class TestConnectedBase:
     )
     def test_reads_after_a_deep_build_are_fresh_scans(self, metric, build, depth):
         _, scan, farthest = _route(metric)
-        for memo in (pipeline._sphere_terms, pipeline.beta_table):
-            memo.cache_clear()
-        pipeline._forms.clear()
-        pipeline._scans.clear()
+        cold_pipeline()
         build(metric, depth)
         assert pipeline._scans[metric.kind][0] > 15
         for m in range(2, 16):
@@ -479,12 +477,10 @@ class TestConnectedBase:
             for m in range(2, 16):
                 assert connected_histogram(metric, m, radius) == scan(m, radius)[m]
 
-    # a whole read and then a deeper build: the rescan for the larger degree
-    # keeps only the distances the build reads, not the whole read's 450
+    # a whole read and then a deeper build: the rescan is at the build's own
+    # bounds, and keeps none of the whole read's 450
     def test_a_rescan_keeps_only_the_bounds_read_since(self, caplog):
-        for memo in (pipeline._sphere_terms, pipeline.beta_table):
-            memo.cache_clear()
-        pipeline._scans.clear()
+        cold_pipeline()
         with caplog.at_level(logging.DEBUG, logger="permsphere.pipeline"):
             connected_histogram(L1, 30)
             poly = sphere_polynomial(L1, 60)
@@ -492,12 +488,21 @@ class TestConnectedBase:
                  if r.getMessage().startswith("connected base ")]
         assert scans == [
             "connected base up to degree 30, distances <= 450,",
-            "connected base up to degree 60, distances <= 60,",
+            "connected base up to degree 31, distances <= 60,",
         ]
-        for memo in (pipeline._sphere_terms, pipeline.beta_table):
-            memo.cache_clear()
-        pipeline._scans.clear()
+        cold_pipeline()
         assert sphere_polynomial(L1, 60).terms == poly.terms
+
+    # built a step at a time, each sphere outgrows the scan by one degree and
+    # one distance, and rescans at exactly its own bounds
+    def test_a_step_build_rescans_at_each_steps_bounds(self, caplog):
+        cold_pipeline()
+        with caplog.at_level(logging.DEBUG, logger="permsphere.pipeline"):
+            for r in range(1, 41):
+                sphere_polynomial(KENDALL, r)
+        scans = [r.getMessage().split(" under ")[0] for r in caplog.records
+                 if r.getMessage().startswith("connected base ")]
+        assert scans == [f"connected base up to degree {r + 1}, distances <= {r}," for r in range(1, 41)]
 
 
 # the histograms a reader returns are the caller's own: editing them changes
@@ -752,9 +757,7 @@ class TestPipeline:
     def test_query_builds_no_base_above_n(self, monkeypatch):
         from permsphere import pipeline
 
-        for memo in (pipeline._sphere_terms, pipeline.beta_table):
-            memo.cache_clear()
-        pipeline._forms.clear()
+        cold_pipeline()
         degrees = []
         monkeypatch.setattr(
             pipeline,
@@ -803,10 +806,7 @@ class TestPipeline:
         from permsphere import pipeline
         from permsphere.pipeline import sphere_terms
 
-        for memo in (pipeline._sphere_terms, pipeline.beta_table):
-            memo.cache_clear()
-        pipeline._forms.clear()
-        pipeline._scans.clear()
+        cold_pipeline()
         with caplog.at_level(logging.DEBUG, logger="permsphere.pipeline"):
             assert pipeline_ball(L1, 10, 6) == 286
         messages = [r.getMessage() for r in caplog.records]
@@ -862,10 +862,7 @@ class TestPipeline:
     def test_cold_build_scans_once(self, caplog, build, bounds):
         # the widest cell is read first, so the table grows once and the base
         # is scanned once, at exact bounds
-        for memo in (pipeline._sphere_terms, pipeline.beta_table):
-            memo.cache_clear()
-        pipeline._forms.clear()
-        pipeline._scans.clear()
+        cold_pipeline()
         with caplog.at_level(logging.DEBUG, logger="permsphere.pipeline"):
             build()
         scans = [r.getMessage() for r in caplog.records if r.getMessage().startswith("connected base ")]
@@ -882,10 +879,7 @@ class TestPipeline:
     def test_mixed_sequence_scans_once(self, caplog, monkeypatch, args, l1_bounds):
         from permsphere import verify
 
-        for memo in (pipeline._sphere_terms, pipeline.beta_table):
-            memo.cache_clear()
-        pipeline._forms.clear()
-        pipeline._scans.clear()
+        cold_pipeline()
         grows = []
         grow = BetaTable._grow
         monkeypatch.setattr(

@@ -1,4 +1,6 @@
 """Randomized property checks with hypothesis."""
+from unittest import mock
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
@@ -10,7 +12,10 @@ from permsphere import (
     distance,
     distance_to_identity,
     parse,
+    pipeline,
 )
+
+from helpers import cold_pipeline
 
 
 def permutations(max_degree=6):
@@ -92,3 +97,45 @@ def test_beta_table_does_not_depend_on_read_order(metric, reads):
     assert (reference.total, reference.size, reference.cells) == grown
     for key, row in table.rows.items():
         assert reference.rows[key][:len(row)] == row
+
+
+base_reads = st.sampled_from([L1, KENDALL]).flatmap(lambda metric: st.one_of(
+    st.tuples(st.just("cut"), st.just(metric), st.integers(0, 16), st.integers(0, 80)),
+    st.tuples(st.just("whole"), st.just(metric), st.integers(0, 16)),
+    st.tuples(st.just("beta"), st.just(metric), st.integers(0, 40), st.integers(0, 14), st.integers(0, 7)),
+))
+
+
+# a scan is at the largest degree and distance read since the last one, so
+# no scan reaches past what has been read, and a read, cut or whole, direct
+# or made by a growing table, is a fresh scan at its own bounds
+@given(st.lists(base_reads, min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_rescans_never_pass_the_reads(sequence):
+    cold_pipeline()
+    read = pipeline.connected_histogram
+    largest = {}
+
+    def checked(metric, m, radius=None):
+        _, scan, farthest = pipeline._route(metric)
+        hist = read(metric, m, radius)
+        if m >= 2:
+            need = farthest(m) if radius is None else radius
+            top_m, top_d = largest.get(metric.kind, (0, 0))
+            largest[metric.kind] = top_m, top_d = max(top_m, m), max(top_d, need)
+            degrees, bound = pipeline._scans[metric.kind][:2]
+            assert degrees <= top_m and bound <= top_d
+            assert hist == scan(m, need)[m]
+        return hist
+
+    betas = []
+    with mock.patch.object(pipeline, "connected_histogram", checked):
+        for kind, metric, *args in sequence:
+            if kind == "beta":
+                betas.append((metric, *args, pipeline.beta(metric, *args)))
+            else:
+                pipeline.connected_histogram(metric, *args)
+    # each cell as a cold table that grew once holds it
+    cold_pipeline()
+    for metric, radius, m, q, value in betas:
+        assert BetaTable(metric).beta(radius, m, q) == value
