@@ -274,8 +274,15 @@ def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
 
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
-    # bare messages, as Python prints a warning when logging is not configured
-    logging.basicConfig(level=args.log_level.upper(), format="%(message)s")
+    # bare messages, as Python prints a warning when logging is not configured,
+    # at this call's level and to the sys.stderr current at this call; both
+    # last only as long as the call, so a program that embeds main() keeps its
+    # own handlers and level
+    root, handler = logging.getLogger(), logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level = root.level
+    root.addHandler(handler)
+    root.setLevel(args.log_level.upper())
     # the one place a refusal becomes output: a library or command ValueError
     # is one stderr line and exit 1; anything else is a fault and a traceback
     try:
@@ -285,6 +292,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        root.removeHandler(handler)
+        root.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -147,3 +147,8 @@ def max_l1(m: int) -> int:
     if m < 0:
         raise ValueError("m must be nonnegative")
     return m * m // 2
+
+
+def max_kendall(m: int) -> int:
+    """Maximal Kendall distance in S_m: m(m-1)/2, that of the reversed word."""
+    return m * (m - 1) // 2

@@ -13,12 +13,12 @@ from __future__ import annotations
 import logging
 import math
 import time
-from collections.abc import Callable
+from collections import namedtuple
 from functools import cache
 from itertools import accumulate
 from operator import mul
 
-from .metrics import MetricId, max_l1
+from .metrics import MetricId, max_kendall, max_l1
 
 log = logging.getLogger(__name__)
 
@@ -79,20 +79,22 @@ def _kendall_connected(degrees: int, radius: int) -> list[dict[int, int]]:
     return [{d: c for d, c in enumerate(row) if c} for row in connected] + [{}] * (degrees - top)
 
 
-# The split-type pipeline's routes, per kind: (step, connected base,
-# farthest). Each metric adds over concatenation, and a connected part of
-# degree m lies at distance at least step * (m - 1), which bounds the parts of
-# a split type inside a ball; the step is also the gap between attainable
-# radii. farthest(m) is the largest distance in S_m, 0 at m = 0, and
-# farthest(a) + farthest(b) <= farthest(a + b), so it also bounds the
-# distance of a whole split type of degree m.
+# The split-type pipeline's route per kind, a Route of three fields. Each
+# metric adds over concatenation, and a connected part of degree m lies at
+# distance at least step * (m - 1), which bounds the parts of a split type
+# inside a ball; the step is also the gap between attainable radii.
+# base(degrees, radius) scans the connected histograms of every degree up to
+# degrees, at distances up to radius. farthest(m) is the largest distance in
+# S_m, 0 at m = 0, and farthest(a) + farthest(b) <= farthest(a + b), so it
+# also bounds the distance of a whole split type of degree m.
+Route = namedtuple("Route", "step base farthest")
 _ROUTES = {
-    "l1": (2, _l1_connected, max_l1),
-    "kendall": (1, _kendall_connected, lambda m: m * (m - 1) // 2),
+    "l1": Route(2, _l1_connected, max_l1),
+    "kendall": Route(1, _kendall_connected, max_kendall),
 }
 
 
-def _route(metric: MetricId) -> tuple[int, Callable, Callable[[int], int]]:
+def _route(metric: MetricId) -> Route:
     try:
         return _ROUTES[metric.kind]
     except KeyError:
@@ -115,16 +117,16 @@ def connected_histogram(metric: MetricId, m: int, radius: int | None = None) -> 
     pipeline metric, computed without enumerating S_m; with a radius, only
     its distances <= radius. Degree-1 words never occur as split-type parts,
     so m < 2 yields an empty histogram."""
-    _, base, farthest = _route(metric)
+    route = _route(metric)
     if m < 2:
         return {}
     # no word of S_m lies past farthest(m): the whole histogram is the cut there
-    need = farthest(m) if radius is None else radius
+    need = route.farthest(m) if radius is None else radius
     degrees, bound, hists, read_m, read_d = _scans.get(metric.kind, (0, 0, [], 0, 0))
     if m > degrees or need > bound:
         began = time.perf_counter()
         degrees, bound = max(m, read_m), max(need, read_d)
-        hists = base(degrees, bound)
+        hists = route.base(degrees, bound)
         _scans[metric.kind] = degrees, bound, hists, 0, 0
         log.debug(
             "connected base up to degree %d, distances <= %d, under %s: %d distances in %.3f s",
@@ -140,7 +142,7 @@ def connected_histogram(metric: MetricId, m: int, radius: int | None = None) -> 
 
 def radius_step(metric: MetricId) -> int:
     """Gap between attainable sphere radii: the step of the metric's route."""
-    return _route(metric)[0]
+    return _route(metric).step
 
 
 def attainable_radii(metric: MetricId, max_radius: int) -> range:
@@ -169,7 +171,8 @@ class BetaTable:
 
     def __init__(self, metric: MetricId):
         self.metric = metric
-        self.step, _, self.farthest = _route(metric)
+        route = _route(metric)
+        self.step, self.farthest = route.step, route.farthest
         self.total = self.size = self.cells = 0
         self.rows: dict[tuple[int, int], list[int]] = {}
 
@@ -281,16 +284,21 @@ def _sphere_terms(metric: MetricId, radius: int, top: int) -> Terms:
     return terms
 
 
+def _outermost(metric: MetricId, radius: int, top: int) -> int:
+    """The outermost attainable radius of the radius-R ball with m <= top."""
+    # no split type with m <= top lies past farthest(top)
+    last = min(radius, _route(metric).farthest(top))
+    return last - last % radius_step(metric)
+
+
 def ball_terms(metric: MetricId, radius: int, top: int) -> Terms:
     """The terms of the radius-R ball with m <= top: the sphere terms summed
     over radii <= R."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    step, _, farthest = _route(metric)
-    # no split type with m <= top lies farther out
-    radius = min(radius, farthest(top))
-    # the outermost attainable sphere first, so the table grows once
-    sphere_terms(metric, radius - radius % step, top)
+    radius = _outermost(metric, radius, top)
+    # the outermost sphere first, so the table grows once
+    sphere_terms(metric, radius, top)
     acc: dict[tuple[int, int], int] = {}
     for r in (0, *attainable_radii(metric, radius)):
         for c, m, q in sphere_terms(metric, r, top):
@@ -374,10 +382,7 @@ def _pipeline_form(
         return _forms[key]
     began = time.perf_counter()
     if ball:
-        step, _, farthest = _route(metric)
-        # no split type with m <= top lies past farthest(top)
-        last = min(radius, farthest(top))
-        last -= last % step
+        step, last = radius_step(metric), _outermost(metric, radius, top)
         # the outermost sphere first: it grows the table once, so every inner
         # sphere finds its cells built
         outer = _pipeline_form(metric, last, min(top, 2 * last), False)

@@ -21,7 +21,7 @@ from .growth import (
     sphere_polynomial,
     to_rational,
 )
-from .metrics import HAMMING, KENDALL, L1, max_l1
+from .metrics import HAMMING, KENDALL, L1, max_kendall, max_l1
 from .oracle import DEFAULT_MAX_DEGREE, check_cap, group_histogram, oracle_ball, oracle_sphere
 from .perm import Record, guarded_binom
 from .pipeline import attainable_radii, beta, pipeline_ball, pipeline_sphere
@@ -188,7 +188,7 @@ def run_verify(
     # cells of radius 2k with m - q <= k, for k <= max_k; Kendall reads
     # spheres of S_max_n
     beta(L1, 2 * max(max_l1(max_n) // 2, max_k), max(max_n - 1, max_k) + 1, 1)
-    beta(KENDALL, max_n * (max_n - 1) // 2, max_n, 1)
+    beta(KENDALL, max_kendall(max_n), max_n, 1)
 
     # pipeline vs oracle, l1 and Kendall
     for n in range(2, max_n + 1):

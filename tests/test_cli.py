@@ -389,6 +389,19 @@ class TestOptions:
         assert proc.returncode == 0 and proc.stdout == "oracle: 4\n"
         assert "oracle sweep of S_4 under l1: 24 permutations in " in proc.stderr
 
+    # each in-process call applies its own level, in bare lines, to the stderr
+    # current at that call
+    def test_each_call_logs_at_its_own_level(self, capsys):
+        errs = []
+        for level in ("warning", "debug", "warning"):
+            cold_pipeline()
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert main(["--log-level", level, "sphere", "--metric", "l1", "--n", "20", "--radius", "6"]) == 0
+            assert capsys.readouterr() == ("pipeline: 1649\n", "")
+            errs.append(err.getvalue())
+        assert [err.count("connected base ") for err in errs] == [0, 1, 0]
+        assert errs[1].startswith("connected base up to degree 4, distances <= 6, under l1: 3 distances in ")
+
     def test_debug_log_times_the_oracle_sweep(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run(

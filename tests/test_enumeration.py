@@ -26,7 +26,7 @@ from permsphere import (
 from permsphere import oracle, pipeline
 from permsphere.oracle import EnumerationCapError, _group_suffix, _split, group_histogram
 from permsphere.pipeline import _route, attainable_radii, connected_histogram, radius_step
-from permsphere.metrics import MetricId, max_l1
+from permsphere.metrics import MetricId, distance_to_identity, max_l1
 
 from helpers import (
     brute_connected_histogram,
@@ -435,7 +435,7 @@ class TestConnectedBase:
     @pytest.mark.parametrize("metric", [L1, KENDALL], ids=["l1", "kendall"])
     @pytest.mark.parametrize("radius", [0, 1, 2, 7, 20, 40, 61, 120])
     def test_cut_histograms_are_the_whole_ones_cut(self, metric, radius):
-        _, scan, farthest = _route(metric)
+        scan, farthest = _route(metric).base, _route(metric).farthest
         # no connected word of S_15 lies past farthest(15)
         whole = scan(15, farthest(15))
         cut = scan(15, radius)
@@ -467,7 +467,7 @@ class TestConnectedBase:
         ids=["l1", "kendall"],
     )
     def test_reads_after_a_deep_build_are_fresh_scans(self, metric, build, depth):
-        _, scan, farthest = _route(metric)
+        scan, farthest = _route(metric).base, _route(metric).farthest
         cold_pipeline()
         build(metric, depth)
         assert pipeline._scans[metric.kind][0] > 15
@@ -590,7 +590,7 @@ class TestBeta:
     # at once and grows no cell of the table
     @pytest.mark.parametrize("metric", [L1, KENDALL], ids=["l1", "kendall"])
     def test_read_past_the_farthest_distance_grows_nothing(self, metric):
-        table, farthest = BetaTable(metric), _route(metric)[2]
+        table, farthest = BetaTable(metric), _route(metric).farthest
         for m in range(2, 9):
             for q in range(1, m + 1):
                 for radius in (farthest(m) + 1, farthest(m) + 2, 10**12):
@@ -695,13 +695,13 @@ class TestPipeline:
 
     @pytest.mark.parametrize("metric", [L1, KENDALL], ids=["l1", "kendall"])
     def test_connected_parts_lie_within_the_widest_split_type(self, metric):
-        farthest = _route(metric)[2]
+        farthest = _route(metric).farthest
         for m in range(2, 13):
             assert max(connected_histogram(metric, m)) <= farthest(m)
 
     @pytest.mark.parametrize("metric", [L1, KENDALL], ids=["l1", "kendall"])
     def test_farthest_is_the_largest_distance_in_the_group(self, metric):
-        farthest = _route(metric)[2]
+        farthest = _route(metric).farthest
         assert farthest(0) == 0
         for m in range(1, 10):
             assert farthest(m) == max(group_histogram(metric, m))
@@ -709,10 +709,17 @@ class TestPipeline:
     # the parts of a split type together lie no farther than farthest(m)
     @pytest.mark.parametrize("metric", [L1, KENDALL], ids=["l1", "kendall"])
     def test_farthest_is_superadditive(self, metric):
-        farthest = _route(metric)[2]
+        farthest = _route(metric).farthest
         for a in range(61):
             for b in range(61):
                 assert farthest(a) + farthest(b) <= farthest(a + b)
+
+    # the transposition is the one connected word of S_2, so its distance is
+    # both the step and farthest(2), as BetaTable._last counts on
+    @pytest.mark.parametrize("metric", [L1, KENDALL], ids=["l1", "kendall"])
+    def test_step_is_the_transposition_distance(self, metric):
+        route = _route(metric)
+        assert route.step == route.farthest(2) == distance_to_identity(metric, Permutation((2, 1)))
 
     def test_oracle_equivalence_small(self):
         for n in range(2, 7):

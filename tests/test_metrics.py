@@ -22,7 +22,8 @@ from permsphere import (
     lp,
     parse,
 )
-from permsphere.metrics import max_l1
+from permsphere.metrics import max_kendall, max_l1
+from permsphere.oracle import group_histogram
 
 from helpers import adjacent_swaps, all_swaps, bfs_word_distance, word_pair_distance, words
 
@@ -183,6 +184,11 @@ class TestMaxDistance:
         assert max_l1(0) == max_l1(1) == 0
         with pytest.raises(ValueError, match="m must be nonnegative"):
             max_l1(-1)
+
+    def test_kendall_closed_form_vs_the_sweep(self):
+        assert max_kendall(0) == 0
+        for m in range(1, 9):
+            assert max_kendall(m) == max(group_histogram(KENDALL, m))
 
 
 class TestProperties:

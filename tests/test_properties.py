@@ -117,7 +117,7 @@ def test_rescans_never_pass_the_reads(sequence):
     largest = {}
 
     def checked(metric, m, radius=None):
-        _, scan, farthest = pipeline._route(metric)
+        scan, farthest = pipeline._route(metric).base, pipeline._route(metric).farthest
         hist = read(metric, m, radius)
         if m >= 2:
             need = farthest(m) if radius is None else radius
@@ -139,3 +139,12 @@ def test_rescans_never_pass_the_reads(sequence):
     cold_pipeline()
     for metric, radius, m, q, value in betas:
         assert BetaTable(metric).beta(radius, m, q) == value
+
+
+# a ball's outermost radius is the largest multiple of the step that is at
+# most both its radius and farthest(top)
+@given(st.sampled_from([L1, KENDALL]), st.integers(0, 400), st.integers(0, 60))
+def test_outermost_radius_is_the_last_step_in_reach(metric, radius, top):
+    route = pipeline._route(metric)
+    last, reach = pipeline._outermost(metric, radius, top), min(radius, route.farthest(top))
+    assert last % route.step == 0 and last <= reach < last + route.step
