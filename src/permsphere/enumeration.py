@@ -31,15 +31,6 @@ class CountReport(Frozen):
     pipeline_count: int | None
     oracle_count: int | None
 
-    def __init__(
-        self, metric: str, n: int, radius: int, pipeline_count: int | None, oracle_count: int | None
-    ) -> None:
-        object.__setattr__(self, "metric", metric)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "pipeline_count", pipeline_count)
-        object.__setattr__(self, "oracle_count", oracle_count)
-
     @property
     def match(self) -> bool | None:
         if self.pipeline_count is None or self.oracle_count is None:

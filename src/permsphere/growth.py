@@ -47,9 +47,7 @@ class BinomialPoly(Frozen):
         ordered = tuple(
             (cleaned[(m, q)], m, q) for (m, q) in sorted(cleaned, key=lambda mq: (mq[1], mq[0]))
         )
-        object.__setattr__(self, "terms", ordered)
-        object.__setattr__(self, "metric", metric)
-        object.__setattr__(self, "radius", radius)
+        super().__init__(ordered, metric, radius)
 
     def coefficient(self, m: int, q: int) -> int:
         for coef, tm, tq in self.terms:
@@ -94,7 +92,7 @@ class RationalPoly(Frozen):
         coeffs = tuple(Fraction(c) for c in coefficients)
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        super().__init__(coeffs)
 
     @property
     def degree(self) -> int:

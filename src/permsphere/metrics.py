@@ -31,6 +31,8 @@ class MetricId(Frozen):
     # identity, not the record's field-wise comparison (see the docstring)
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+    # __new__ sets the fields once per metric; Record.__init__ would reset them on each call
+    __init__ = object.__init__
 
     def __new__(cls, kind: str, p: int | None = None) -> MetricId:
         if kind not in _KINDS:

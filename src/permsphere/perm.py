@@ -33,13 +33,22 @@ class Record:
     """Base of the package's record classes.
 
     Each subclass lists its fields in ``__slots__``, in the order of its
-    constructor's arguments. Records of one class are equal when their fields
-    are, and their repr is a constructor call with the fields by name. A
-    plain record is mutable and unhashable.
+    constructor's arguments. ``Record.__init__`` takes one value per field,
+    positionally, and sets each once through ``object.__setattr__``; a
+    subclass that validates or normalizes its input passes the result on to
+    it. Records of one class are equal when their fields are, and their repr
+    is a constructor call with the fields by name. A plain record is mutable
+    and unhashable.
     """
 
     __slots__ = ()
     __hash__ = None
+
+    def __init__(self, *fields: object) -> None:
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(fields)}")
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -55,8 +64,7 @@ class Record:
 
 
 class Frozen(Record):
-    """A record whose constructor sets each field once, through
-    ``object.__setattr__``; it hashes by its fields and refuses assignment."""
+    """A record that hashes by its fields and refuses assignment."""
 
     __slots__ = ()
 
@@ -96,7 +104,7 @@ class Permutation(Frozen):
     def __init__(self, word: tuple[int, ...]) -> None:
         word = tuple(word)
         _validate_word(word)
-        object.__setattr__(self, "word", word)
+        super().__init__(word)
 
     # -- construction -------------------------------------------------
 
@@ -226,10 +234,6 @@ class SplitDecomposition(Frozen):
     parts: tuple[Permutation, ...]
     cut_positions: tuple[int, ...]
 
-    def __init__(self, parts: tuple[Permutation, ...], cut_positions: tuple[int, ...]) -> None:
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "cut_positions", cut_positions)
-
     def reassemble(self) -> Permutation:
         return concatenate(*self.parts)
 
@@ -251,7 +255,7 @@ class SplitType(Frozen):
                 raise ValueError(f"split type part {p.word} is trivial (degree < 2)")
             if not p.is_connected():
                 raise ValueError(f"split type part {p.word} is not connected")
-        object.__setattr__(self, "parts", parts)
+        super().__init__(parts)
 
     @property
     def m(self) -> int:

@@ -255,11 +255,15 @@ Terms = tuple[tuple[int, int, int], ...]  # (coefficient, m, q)
 
 def sphere_terms(metric: MetricId, radius: int, top: int) -> Terms:
     """The nonzero terms (beta(R, m, q), m, q) of the radius-R sphere with
-    m <= top, by cell; top = 2R keeps them all."""
+    m <= top, by cell; top = 2R keeps them all. A radius off the metric's
+    step has no terms."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    bound, off = divmod(radius, radius_step(metric))
+    if off:
+        return ()
     # every cell has m <= 2 N(R): one memo key per sphere above that
-    return _sphere_terms(metric, radius, min(top, 2 * size_bound(metric, radius)))
+    return _sphere_terms(metric, radius, min(top, 2 * bound))
 
 
 @cache

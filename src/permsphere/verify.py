@@ -106,18 +106,14 @@ class Check(Record):
         values: dict[str, str] | None = None,
         verdict: str = MATCH,
     ) -> None:
-        self.name = name
-        self.formula = formula
-        self.source = source
-        self.values = {} if values is None else values
-        self.verdict = verdict
+        super().__init__(name, formula, source, {} if values is None else values, verdict)
 
 
 class VerifyReport(Record):
     __slots__ = ("checks",)
 
     def __init__(self, checks: list[Check] | None = None) -> None:
-        self.checks = [] if checks is None else checks
+        super().__init__([] if checks is None else checks)
 
     @property
     def ok(self) -> bool:

@@ -162,7 +162,7 @@ def perfbench_lines():
 
 def test_pinned_lines_are_found():
     assert len(readme_lines()) == 11
-    assert len(tier1_lines()) == 24
+    assert len(tier1_lines()) == 26
     assert all(line in tier1_lines() for line in TIER1_ARGPARSE)
 
 

@@ -674,6 +674,22 @@ class TestPipeline:
 
     def test_odd_radius_empty(self):
         assert pipeline_sphere(L1, 5, 7) == 0
+        for n in range(1, 9):
+            for r in range(1, 34, 2):
+                assert pipeline_sphere(L1, n, r) == oracle_sphere(L1, n, r) == 0
+                assert pipeline_ball(L1, n, r) == oracle_ball(L1, n, r)
+
+    # the walk of an off-step sphere would read about 10^11 cells at the top radius
+    def test_off_step_sphere_reads_no_cell(self, monkeypatch):
+        from permsphere.pipeline import sphere_terms
+
+        pipeline._sphere_terms.cache_clear()
+        cells = []
+        read = BetaTable.beta
+        monkeypatch.setattr(BetaTable, "beta", lambda table, r, m, q: cells.append((m, q)) or read(table, r, m, q))
+        for radius in (1, 3, 17, 4001, 2_000_001):
+            assert sphere_terms(L1, radius, 2 * radius) == ()
+            assert cells == []
 
     def test_radius_zero(self):
         assert pipeline_sphere(L1, 5, 0) == 1

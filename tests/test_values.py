@@ -100,3 +100,14 @@ def test_mutable_defaults_are_not_shared():
     assert Check("c", "f", "s").values == {} and VerifyReport().checks == []
     assert Check("c", "f", "s").values is not Check("c", "f", "s").values
     assert VerifyReport().checks is not VerifyReport().checks
+
+
+# the two records with no constructor of their own take their fields from
+# Record.__init__, one value per field, positionally
+@pytest.mark.parametrize("make", [CountReport, SplitDecomposition], ids=["CountReport", "SplitDecomposition"])
+def test_record_takes_one_value_per_field(make):
+    fields = [None] * len(make.__slots__)
+    assert make(*fields)._fields() == tuple(fields)
+    for wrong in (fields[1:], [*fields, None]):
+        with pytest.raises(TypeError, match=make.__name__):
+            make(*wrong)
