@@ -153,4 +153,6 @@ def max_l1(m: int) -> int:
 
 def max_kendall(m: int) -> int:
     """Maximal Kendall distance in S_m: m(m-1)/2, that of the reversed word."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
     return m * (m - 1) // 2

@@ -2,8 +2,8 @@
 visit of every permutation, each as a head paired with a suffix.
 
 It is one of the two counting routes that check each other, so of the
-package it imports only ``metrics`` and ``perm``, and ``pipeline`` never
-imports it; tests/test_independence.py enforces both.
+package it imports only ``metrics`` (and, through it, ``perm``), and
+``pipeline`` never imports it; tests/test_independence.py enforces both.
 """
 from __future__ import annotations
 
@@ -13,10 +13,9 @@ import time
 from collections import defaultdict
 from collections.abc import Callable, Iterable
 from functools import cache, partial
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, product
 
-from .metrics import MetricId, distance_to_identity, position_cost
-from .perm import Permutation
+from .metrics import MetricId, position_cost
 
 log = logging.getLogger(__name__)
 
@@ -55,8 +54,9 @@ def check_cap(n: int, cap: int) -> None:
 # is a new cycle (cost 0) or follows one of the i - 1 values already placed
 # in its cycle (cost 1), so n minus the number of cycles is the sum of the
 # steps (Stanley, EC1, Prop. 1.3.7). The first k insertions form a
-# permutation of S_k, so the suffix is one list per sweep, the distances of
-# S_k itself, and each head is a code for the values k+1..n.
+# permutation of S_k, so the suffix is one list per sweep, the step sums of
+# the codes of 1..k, and each head is the step sum of a code for the values
+# k+1..n.
 #
 # The lists are built by shift and join, not by one fold per arrangement.
 # In itertools.permutations order, the list of a value tuple from position
@@ -210,13 +210,6 @@ def _arrangement_lists(
     return build
 
 
-def _group_suffix(metric: MetricId, k: int) -> bytes:
-    """The distance of every permutation of S_k, in ``itertools.permutations``
-    order: the suffix list of the Kendall and Cayley sweeps, which is the
-    same for every head."""
-    return bytes(distance_to_identity(metric, Permutation(w)) for w in permutations(range(1, k + 1)))
-
-
 def _walk_costs(metric: MetricId, n: int, packed: bool = True) -> _Tally:
     """l1, lp, Hamming and linf: value v at position i costs cost[i][v],
     its ``position_cost``, and the distance folds the costs, by sum (max for
@@ -245,17 +238,19 @@ _STEPS = {
 }
 
 
+def _code_sums(metric: MetricId, values: Iterable[int]) -> bytes:
+    """The sum of the step costs of every insertion code of ``values``, in
+    ``itertools.product`` order."""
+    return bytes(map(sum, product(*map(_STEPS[metric.kind], values))))
+
+
 def _walk_codes(metric: MetricId, n: int) -> _Tally:
-    """Kendall and Cayley: the first k insertions, a permutation of S_k,
-    are the suffix list shared by every head; the heads are the codes of
-    the values k+1..n, each at the sum of its step costs, all queued in one
-    add."""
-    step = _STEPS[metric.kind]
+    """Kendall and Cayley: the codes of the values 1..k, the permutations
+    of S_k, are the suffix list shared by every head; the heads are the
+    codes of the values k+1..n, all queued in one add."""
     k = n - _split(n)
-    suffix = _group_suffix(metric, k)
-    tally = _Tally(sum(max(step(i)) for i in range(1, n + 1)), sum)
-    heads = bytes(map(sum, product(*map(step, range(k + 1, n + 1)))))
-    tally.add(heads, suffix)
+    tally = _Tally(sum(max(_STEPS[metric.kind](i)) for i in range(1, n + 1)), sum)
+    tally.add(_code_sums(metric, range(k + 1, n + 1)), _code_sums(metric, range(1, k + 1)))
     return tally
 
 

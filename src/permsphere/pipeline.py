@@ -102,14 +102,13 @@ def _route(metric: MetricId) -> Route:
 
 
 # The latest scan of each base: kind -> (degrees, radius, histograms by
-# degree, the largest degree and distance read since), the memo behind
-# connected_histogram. A read it does not cover scans again, at the largest
-# degree and distance read since the last scan, this read included, so one
-# deep read does not widen every later scan. A cold build, and the verify
-# matrix, read each table's widest cell first, so they scan once, at exact
-# bounds, and a build grown a step at a time scans once per step, at that
-# step's bounds.
-_scans: dict[str, tuple[int, int, list[dict[int, int]], int, int]] = {}
+# degree), the memo behind connected_histogram. A read it does not cover
+# scans again, at that read's own degree and distance, so one deep read does
+# not widen every later scan. A growing table reads its q = 1 rows widest
+# first, all at one radius, so the later reads of a growth are covered: a
+# cold build, and the verify matrix, scan once, at exact bounds, and a build
+# grown a step at a time scans once per step, at that step's bounds.
+_scans: dict[str, tuple[int, int, list[dict[int, int]]]] = {}
 
 
 def connected_histogram(metric: MetricId, m: int, radius: int | None = None) -> dict[int, int]:
@@ -122,18 +121,15 @@ def connected_histogram(metric: MetricId, m: int, radius: int | None = None) -> 
         return {}
     # no word of S_m lies past farthest(m): the whole histogram is the cut there
     need = route.farthest(m) if radius is None else radius
-    degrees, bound, hists, read_m, read_d = _scans.get(metric.kind, (0, 0, [], 0, 0))
+    degrees, bound, hists = _scans.get(metric.kind, (0, 0, []))
     if m > degrees or need > bound:
         began = time.perf_counter()
-        degrees, bound = max(m, read_m), max(need, read_d)
-        hists = route.base(degrees, bound)
-        _scans[metric.kind] = degrees, bound, hists, 0, 0
+        hists = route.base(m, need)
+        _scans[metric.kind] = m, need, hists
         log.debug(
             "connected base up to degree %d, distances <= %d, under %s: %d distances in %.3f s",
-            degrees, bound, metric.name, sum(map(len, hists[2:])), time.perf_counter() - began,
+            m, need, metric.name, sum(map(len, hists[2:])), time.perf_counter() - began,
         )
-    elif m > read_m or need > read_d:
-        _scans[metric.kind] = degrees, bound, hists, max(m, read_m), max(need, read_d)
     return {d: c for d, c in hists[m].items() if d <= need}
 
 

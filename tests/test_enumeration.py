@@ -24,7 +24,7 @@ from permsphere import (
     sphere_polynomial,
 )
 from permsphere import oracle, pipeline
-from permsphere.oracle import EnumerationCapError, _group_suffix, _split, group_histogram
+from permsphere.oracle import EnumerationCapError, _code_sums, _split, group_histogram
 from permsphere.pipeline import _route, attainable_radii, connected_histogram, radius_step
 from permsphere.metrics import MetricId, distance_to_identity, max_l1
 
@@ -296,7 +296,7 @@ class TestOracle:
         [(heads, data)] = added
         k = n - _split(n)
         assert type(heads) is bytes and len(heads) == math.factorial(n) // math.factorial(k)
-        assert data == _group_suffix(metric, k)
+        assert data == _code_sums(metric, range(1, k + 1))
         assert Counter(d + t for d in heads for t in data) == word_histogram(dist, n)
 
     # Each suffix list holds one distance per arrangement of the values left
@@ -351,15 +351,16 @@ class TestOracle:
         with pytest.raises(ValueError, match="255"):
             oracle._walk_costs(MetricId.parse("lp:3"), 7, packed=True)
 
-    # Kendall and Cayley finish every head from one list, the distances of
-    # S_k itself, one entry per permutation (1-based words).
+    # Kendall and Cayley finish every head from one list, the step sums of
+    # the insertion codes of 1..k: the distances of S_k itself, one entry
+    # per permutation, in code order (1-based words).
     @pytest.mark.parametrize("k", range(1, 7))
     @pytest.mark.parametrize(
         "name, dist", [("kendall", word_inversions), ("cayley", word_cayley)], ids=["kendall", "cayley"]
     )
-    def test_group_suffix_lists_the_distances_of_s_k(self, name, dist, k):
-        expected = [dist(w) for w in words(k)]
-        assert list(_group_suffix(MetricId(name), k)) == expected
+    def test_code_sums_list_the_distances_of_s_k(self, name, dist, k):
+        expected = sorted(dist(w) for w in words(k))
+        assert sorted(_code_sums(MetricId(name), range(1, k + 1))) == expected
 
     # Every code (c_1..c_n) with c_i in range(i), decoded by the insertion
     # rule of its metric, is a distinct word whose distance is the sum of

@@ -185,6 +185,12 @@ class TestMaxDistance:
         with pytest.raises(ValueError, match="m must be nonnegative"):
             max_l1(-1)
 
+    def test_kendall_empty_group_and_refusal(self):
+        assert max_kendall(0) == max_kendall(1) == 0
+        for m in (-1, -3):
+            with pytest.raises(ValueError, match="m must be nonnegative"):
+                max_kendall(m)
+
     def test_kendall_closed_form_vs_the_sweep(self):
         assert max_kendall(0) == 0
         for m in range(1, 9):

@@ -106,25 +106,27 @@ base_reads = st.sampled_from([L1, KENDALL]).flatmap(lambda metric: st.one_of(
 ))
 
 
-# a scan is at the largest degree and distance read since the last one, so
-# no scan reaches past what has been read, and a read, cut or whole, direct
-# or made by a growing table, is a fresh scan at its own bounds
+# a read the latest scan covers leaves the memo as it was, and any other
+# read scans again at exactly its own degree and distance, so no scan
+# reaches past a read; a read, cut or whole, direct or made by a growing
+# table, is a fresh scan at its own bounds
 @given(st.lists(base_reads, min_size=1, max_size=8))
 @settings(max_examples=100, deadline=None)
 def test_rescans_never_pass_the_reads(sequence):
     cold_pipeline()
     read = pipeline.connected_histogram
-    largest = {}
 
     def checked(metric, m, radius=None):
         scan, farthest = pipeline._route(metric).base, pipeline._route(metric).farthest
+        before = pipeline._scans.get(metric.kind)
         hist = read(metric, m, radius)
         if m >= 2:
             need = farthest(m) if radius is None else radius
-            top_m, top_d = largest.get(metric.kind, (0, 0))
-            largest[metric.kind] = top_m, top_d = max(top_m, m), max(top_d, need)
-            degrees, bound = pipeline._scans[metric.kind][:2]
-            assert degrees <= top_m and bound <= top_d
+            after = pipeline._scans[metric.kind]
+            if before is not None and m <= before[0] and need <= before[1]:
+                assert after is before
+            else:
+                assert after[:2] == (m, need)
             assert hist == scan(m, need)[m]
         return hist
 
