@@ -89,7 +89,8 @@ class RationalPoly(Frozen):
     coefficients: tuple[Fraction, ...]
 
     def __init__(self, coefficients: tuple[Fraction, ...]) -> None:
-        coeffs = tuple(Fraction(c) for c in coefficients)
+        # the empty tuple is the zero polynomial, as (0,) is
+        coeffs = tuple(Fraction(c) for c in coefficients) or (Fraction(0),)
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         super().__init__(coeffs)

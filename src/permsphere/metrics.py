@@ -21,8 +21,9 @@ class MetricId(Frozen):
     There is one instance per metric: ``MetricId(kind, p)`` validates its
     arguments and returns the interned instance, so equality and hashing are
     the object defaults and a memo lookup on a metric costs no Python call.
-    A pickle rebuilds the metric from its fields, so it unpickles to the
-    interned instance in any process.
+    ``MetricId("lp", 1)``, ``lp(1)`` and ``MetricId.parse("lp:1")`` are all
+    ``L1``. A pickle rebuilds the metric from its fields, so it unpickles to
+    the interned instance in any process.
     """
 
     __slots__ = ("kind", "p")
@@ -38,9 +39,11 @@ class MetricId(Frozen):
         if kind not in _KINDS:
             raise ValueError(f"unknown metric kind {kind!r}; expected one of {_KINDS}")
         if kind == "lp":
-            # exactly int: True and 2.0 would find lp:1 and lp:2 in the table
+            # exactly int: True and 2.0 would pass for 1 and 2 as table keys
             if type(p) is not int or p < 1:
                 raise ValueError("lp metric requires an integer exponent p >= 1")
+            if p == 1:
+                kind, p = "l1", None
         elif p is not None:
             raise ValueError(f"metric {kind!r} takes no exponent")
         metric = _INTERNED.get((kind, p))
@@ -60,10 +63,7 @@ class MetricId(Frozen):
 
     @classmethod
     def parse(cls, text: str) -> MetricId:
-        """Parse a wire name: l1, lp:<p>, linf, hamming, cayley, kendall.
-
-        ``lp:1`` is the same metric as ``l1`` and is normalized to it.
-        """
+        """Parse a wire name: l1, lp:<p>, linf, hamming, cayley, kendall."""
         text = text.strip().lower()
         if text.startswith("lp:"):
             try:
@@ -82,8 +82,7 @@ KENDALL = MetricId("kendall")
 
 
 def lp(p: int) -> MetricId:
-    metric = MetricId("lp", p)  # validates p
-    return L1 if p == 1 else metric
+    return MetricId("lp", p)
 
 
 # -- distance to the identity, on raw words -------------------------------

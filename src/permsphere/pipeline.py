@@ -191,23 +191,22 @@ class BetaTable:
         return row[t - s] if t - s < len(row) else 0
 
     def _grow(self, total: int, size: int) -> None:
-        """Hold every cell with t <= total and s <= size."""
-        # s <= t, and no split type of size <= S lies past farthest(S + 1)
-        size = max(self.size, min(size, total))
-        total = max(self.total, min(total, self.farthest(size + 1) // self.step))
-        self.total, self.size = total, size
+        """Hold every cell with t <= total and s <= size. beta grows only for a read
+        with s <= t <= _last(q, s) <= farthest(s + 1) // step, so the table keeps
+        size <= total <= farthest(size + 1) // step."""
+        self.total, self.size = max(self.total, total), max(self.size, size)
         # fewer parts first, as a row reads the rows with one part fewer, and
         # the largest part first, so that one scan of the base serves them all;
         # a row an earlier total cut resumes at its length, a whole one is skipped
-        for q in range(1, size + 1):
-            for s in range(size, q - 1, -1):
+        for q in range(1, self.size + 1):
+            for s in range(self.size, q - 1, -1):
                 row = self.rows.setdefault((q, s), [])
-                end = min(total, self._last(q, s)) - s
+                end = min(self.total, self._last(q, s)) - s
                 if len(row) > end:
                     continue
                 self.cells += end + 1 - len(row)
                 if q == 1:
-                    hist = connected_histogram(self.metric, s + 1, self.step * total)
+                    hist = connected_histogram(self.metric, s + 1, self.step * self.total)
                     row += [hist.get(self.step * (s + e), 0) for e in range(len(row), end + 1)]
                 else:
                     row += self._convolve(q, s, len(row), end)
@@ -273,8 +272,8 @@ def _sphere_terms(metric: MetricId, radius: int, top: int) -> Terms:
         # the widest cell, q = 1 and s = min(top - 1, N(R)) at t = N(R), grows
         # the table to hold every cell of this sphere, so the base is scanned once
         table.beta(radius, min(top, 1 + bound), 1)
-        # every part has degree >= 2, so 2q <= m, and m - q <= N(R)
-        cells = ((m, q) for q in range(1, min(bound, top // 2) + 1)
+        # every part has degree >= 2, so 2q <= m <= top <= 2 N(R), and m - q <= N(R)
+        cells = ((m, q) for q in range(1, top // 2 + 1)
                  for m in range(2 * q, min(top, q + bound) + 1))
         terms = tuple((b, m, q) for m, q in cells if (b := table.beta(radius, m, q)))
     log.debug(

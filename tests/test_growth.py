@@ -139,6 +139,13 @@ class TestToRational:
         assert rational.denominator == 6
         assert rational.integer_coefficients == (-6, -25, 6, 1)
 
+    def test_one_zero_polynomial(self):
+        # the empty tuple, trailing zeros and a zero sphere are one polynomial
+        zero = to_rational(sphere_polynomial(L1, 3))
+        assert RationalPoly(()) == RationalPoly((0, 0)) == zero
+        assert hash(RationalPoly(())) == hash(RationalPoly((0, 0))) == hash(zero)
+        assert RationalPoly(()).degree == 0 and RationalPoly(()).as_dict()["coefficients"] == ["0"]
+
     def test_denominator_is_the_least_common_multiple(self):
         assert RationalPoly(()).denominator == 1
         assert RationalPoly((0, 0)).integer_coefficients == (0,)
@@ -214,6 +221,8 @@ class TestClosedFormBeta:
     def test_support_zeroes(self):
         assert closed_form_beta(5, 4, 1) == 0  # above the S_4 maximum
         assert closed_form_beta(3, 7, 2) == 0  # m - q > k
+        assert closed_form_beta(5, 7, 6) == 0  # m < 2q
+        assert closed_form_beta(5, 5, 0) == 0  # q < 1
 
     def test_not_covered(self):
         assert closed_form_beta(8, 6, 2) is NOT_COVERED

@@ -22,7 +22,7 @@ from permsphere import (
     lp,
     parse,
 )
-from permsphere.metrics import max_kendall, max_l1
+from permsphere.metrics import _INTERNED, max_kendall, max_l1
 from permsphere.oracle import group_histogram
 
 from helpers import adjacent_swaps, all_swaps, bfs_word_distance, word_pair_distance, words
@@ -39,6 +39,9 @@ class TestMetricId:
 
     def test_lp1_is_l1(self):
         assert MetricId.parse("lp:1") == L1
+        # one object for l1, and no lp:1 beside it in the intern table
+        assert MetricId("lp", 1) is lp(1) is MetricId.parse("lp:1") is L1
+        assert ("lp", 1) not in _INTERNED
 
     def test_invalid(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 from unittest import mock
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from permsphere import (
     KENDALL,
@@ -97,6 +97,31 @@ def test_beta_table_does_not_depend_on_read_order(metric, reads):
     assert (reference.total, reference.size, reference.cells) == grown
     for key, row in table.rows.items():
         assert reference.rows[key][:len(row)] == row
+
+
+# beta grows the table only for a read that can be nonzero, so each growth
+# asks for, and leaves the table at, size <= total <= farthest(size + 1) // step;
+# the examples are a read past _last and one with t < s, each of which beta
+# turns away before it grows
+@given(
+    st.sampled_from([L1, KENDALL]),
+    st.lists(st.tuples(st.integers(0, 24), st.integers(0, 26), st.integers(0, 13)), min_size=1, max_size=12),
+)
+@example(L1, [(4, 2, 1)])
+@example(KENDALL, [(1, 6, 2)])
+@settings(max_examples=60, deadline=None)
+def test_beta_table_grows_inside_its_bound(metric, reads):
+    table = BetaTable(metric)
+    step, farthest, grow = table.step, table.farthest, table._grow
+
+    def checked(total, size):
+        assert size <= total <= farthest(size + 1) // step
+        grow(total, size)
+        assert table.size <= table.total <= farthest(table.size + 1) // step
+
+    table._grow = checked
+    for radius, m, q in reads:
+        table.beta(radius, m, q)
 
 
 base_reads = st.sampled_from([L1, KENDALL]).flatmap(lambda metric: st.one_of(

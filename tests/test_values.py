@@ -111,3 +111,9 @@ def test_record_takes_one_value_per_field(make):
     for wrong in (fields[1:], [*fields, None]):
         with pytest.raises(TypeError, match=make.__name__):
             make(*wrong)
+
+
+def test_records_of_two_classes_are_unequal_with_equal_fields():
+    check, report = Check("a", "b", "c", {}, "match"), CountReport("a", "b", "c", {}, "match")
+    assert check._fields() == report._fields()
+    assert check != report and report != check
