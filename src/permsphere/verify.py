@@ -5,9 +5,14 @@ Verdicts distinguish internal mismatches (our two code paths disagree:
 the run fails) from reference discrepancies (both of our paths agree with
 the exhaustive oracle but the published constant does not: reported, never
 fatal).
+
+A check is one function ``(ctx) -> Iterable[Check]`` plus one ``_CHECKS``
+entry; it reads the oracle's whole-group histograms only through ``ctx.whole``.
 """
 from __future__ import annotations
 
+import logging
+import time
 from fractions import Fraction
 
 from .growth import (
@@ -23,8 +28,10 @@ from .growth import (
 )
 from .metrics import HAMMING, KENDALL, L1, max_kendall, max_l1
 from .oracle import DEFAULT_MAX_DEGREE, check_cap, group_histogram, oracle_ball, oracle_sphere
-from .perm import Record, guarded_binom
+from .perm import Frozen, Record, guarded_binom
 from .pipeline import attainable_radii, beta, pipeline_ball, pipeline_sphere
+
+log = logging.getLogger(__name__)
 
 MATCH = "match"
 MISMATCH = "mismatch"
@@ -123,9 +130,6 @@ class VerifyReport(Record):
     def exit_code(self) -> int:
         return 0 if self.ok else 1
 
-    def add(self, check: Check) -> None:
-        self.checks.append(check)
-
     def as_dict(self) -> dict:
         return {"ok": self.ok, "checks": [dict(zip(c.__slots__, c._fields())) for c in self.checks]}
 
@@ -148,66 +152,54 @@ def printed_polynomial(k: int) -> BinomialPoly:
     return BinomialPoly(PRINTED_SPHERE_POLYS[k], "l1", 2 * k)
 
 
-def _oracle_vs_pipeline(report: VerifyReport, metric, n: int, cap: int) -> None:
-    # every nonzero radius up to the farthest distance the oracle's sweep reached
-    radii = attainable_radii(metric, max(group_histogram(metric, n, cap=cap)))
-    bad = []
-    for r in radii:
-        ps, os_ = pipeline_sphere(metric, n, r), oracle_sphere(metric, n, r, cap=cap)
-        pb, ob = pipeline_ball(metric, n, r), oracle_ball(metric, n, r, cap=cap)
-        if ps != os_ or pb != ob:
-            bad.append(f"R={r}: sphere {ps}/{os_}, ball {pb}/{ob}")
-    report.add(
-        _mismatch_check(
-            f"{metric.name}-oracle-equivalence-n{n}",
-            "sphere and ball counts: split-type sum vs exhaustive count",
-            "oracle",
-            bad,
-            radii=str(len(radii)),
-        )
-    )
+class VerifyContext(Frozen):
+    """The bounds of one verify matrix, and its one read of the oracle."""
+
+    __slots__ = ("max_n", "max_k", "include_printed_p6", "cap")
+
+    def whole(self, metric) -> list[dict[int, int]]:
+        """The oracle's histogram of all of S_m for m = 0..max_n, indexed by m; fresh each call."""
+        return [{0: 1}] + [group_histogram(metric, m, cap=self.cap) for m in range(1, self.max_n + 1)]
 
 
-def run_verify(
-    max_n: int = 6, max_k: int = 6, include_printed_p6: bool = False, *, cap: int = DEFAULT_MAX_DEGREE
-) -> VerifyReport:
-    if max_n < 2:
-        raise ValueError(f"max_n must be at least 2, got {max_n}")
-    if max_k < 1:
-        raise ValueError(f"max_k must be at least 1, got {max_k}")
-    # every degree the matrix sweeps: S_2..S_max_n, and S_7 for the disputed cell
-    check_cap(max(max_n, 7) if include_printed_p6 and max_k >= 6 else max_n, cap)
-    report = VerifyReport()
-
-    # each table's widest cell first, so that it grows once and its base is
-    # scanned once: l1 reads spheres of S_max_n, to radius max_l1(max_n), and
-    # cells of radius 2k with m - q <= k, for k <= max_k; Kendall reads
-    # spheres of S_max_n
-    beta(L1, 2 * max(max_l1(max_n) // 2, max_k), max(max_n - 1, max_k) + 1, 1)
-    beta(KENDALL, max_kendall(max_n), max_n, 1)
-
+def _oracle_equivalence(ctx: VerifyContext):
     # pipeline vs oracle, l1 and Kendall
-    for n in range(2, max_n + 1):
+    wholes = {metric: ctx.whole(metric) for metric in (L1, KENDALL)}
+    for n in range(2, ctx.max_n + 1):
         for metric in (L1, KENDALL):
-            _oracle_vs_pipeline(report, metric, n, cap)
+            # every nonzero radius up to the farthest distance the oracle's sweep reached
+            radii = attainable_radii(metric, max(wholes[metric][n]))
+            bad = []
+            for r in radii:
+                ps, os_ = pipeline_sphere(metric, n, r), oracle_sphere(metric, n, r, cap=ctx.cap)
+                pb, ob = pipeline_ball(metric, n, r), oracle_ball(metric, n, r, cap=ctx.cap)
+                if ps != os_ or pb != ob:
+                    bad.append(f"R={r}: sphere {ps}/{os_}, ball {pb}/{ob}")
+            yield _mismatch_check(
+                f"{metric.name}-oracle-equivalence-n{n}",
+                "sphere and ball counts: split-type sum vs exhaustive count",
+                "oracle",
+                bad,
+                radii=str(len(radii)),
+            )
 
+
+def _printed_polynomials(ctx: VerifyContext):
     # published polynomials, k = 1..5 termwise
-    for k in range(1, min(5, max_k) + 1):
+    for k in range(1, min(5, ctx.max_k) + 1):
         computed = sphere_polynomial(L1, 2 * k)
         printed = printed_polynomial(k)
         ok = computed.terms == printed.terms
-        report.add(
-            Check(
-                name=f"printed-polynomial-k{k}",
-                formula=f"radius-{2 * k} sphere polynomial, all terms",
-                source="printed value",
-                values={"computed": str(computed), "printed": str(printed)},
-                verdict=MATCH if ok else MISMATCH,
-            )
+        yield Check(
+            name=f"printed-polynomial-k{k}",
+            formula=f"radius-{2 * k} sphere polynomial, all terms",
+            source="printed value",
+            values={"computed": str(computed), "printed": str(printed)},
+            verdict=MATCH if ok else MISMATCH,
         )
 
     # the radius-12 polynomial: undisputed terms must match outright
-    if max_k >= 6:
+    if ctx.max_k >= 6:
         computed = sphere_polynomial(L1, 12)
         printed = printed_polynomial(6)
         bad = []
@@ -216,16 +208,14 @@ def run_verify(
                 continue
             if computed.coefficient(m, q) != printed.coefficient(m, q):
                 bad.append(f"(m={m},q={q}): {computed.coefficient(m, q)} vs {printed.coefficient(m, q)}")
-        report.add(
-            _mismatch_check(
-                "printed-polynomial-k6-undisputed",
-                "radius-12 sphere polynomial, all terms except (m=7, q=2)",
-                "printed value",
-                bad,
-            )
+        yield _mismatch_check(
+            "printed-polynomial-k6-undisputed",
+            "radius-12 sphere polynomial, all terms except (m=7, q=2)",
+            "printed value",
+            bad,
         )
-        if include_printed_p6:
-            oracle_n7 = oracle_sphere(L1, 7, 12, cap=cap)
+        if ctx.include_printed_p6:
+            oracle_n7 = oracle_sphere(L1, 7, 12, cap=ctx.cap)
             pipeline_n7 = pipeline_sphere(L1, 7, 12)
             printed_n7 = printed.evaluate(7)
             values = {
@@ -241,23 +231,23 @@ def run_verify(
                 verdict = DISCREPANCY
             else:
                 verdict = MATCH
-            report.add(
-                Check(
-                    name="printed-polynomial-k6-disputed-cell",
-                    formula="the [n-5 choose 2] coefficient of the radius-12 polynomial, "
-                    "adjudicated by the exhaustive count over S_7",
-                    source="printed value",
-                    values=values,
-                    verdict=verdict,
-                )
+            yield Check(
+                name="printed-polynomial-k6-disputed-cell",
+                formula="the [n-5 choose 2] coefficient of the radius-12 polynomial, "
+                "adjudicated by the exhaustive count over S_7",
+                source="printed value",
+                values=values,
+                verdict=verdict,
             )
 
+
+def _closed_forms(ctx: VerifyContext):
     # closed forms vs the convolution, and the published second-drop constant
     bad = []
     disputed = []
     undercounts = False
     checked = 0
-    for k in range(1, max_k + 1):
+    for k in range(1, ctx.max_k + 1):
         # the closed forms' domain: q parts of degree >= 2, with m - q <= k
         for q in range(1, k + 1):
             for m in range(2 * q, k + q + 1):
@@ -272,61 +262,57 @@ def run_verify(
                     published = published_second_drop_beta(k, q)
                     disputed.append(f"(k={k},m={m},q={q}): published {published}, table {conv}")
                     undercounts = undercounts or published != conv
-    report.add(
-        _mismatch_check(
-            "closed-forms-vs-convolution",
-            "the four closed-form beta families, max-radius counts, and support bounds",
-            "closed form",
-            bad,
-            cells=str(checked),
-        )
+    yield _mismatch_check(
+        "closed-forms-vs-convolution",
+        "the four closed-form beta families, max-radius counts, and support bounds",
+        "closed form",
+        bad,
+        cells=str(checked),
     )
     if disputed:
-        report.add(
-            Check(
-                name="closed-form-beta-disputed-cells",
-                formula="the m = k + q - 2 family for k >= 7: the published constant "
-                "undercounts the table; the closed form doubles its first term",
-                source="printed value",
-                values={"cells": "; ".join(disputed)},
-                verdict=DISCREPANCY if undercounts else MATCH,
-            )
+        yield Check(
+            name="closed-form-beta-disputed-cells",
+            formula="the m = k + q - 2 family for k >= 7: the published constant "
+            "undercounts the table; the closed form doubles its first term",
+            source="printed value",
+            values={"cells": "; ".join(disputed)},
+            verdict=DISCREPANCY if undercounts else MATCH,
         )
 
+
+def _series(ctx: VerifyContext):
     # generating-function coefficients vs the m = k + q slice
     bad = []
-    for k in range(1, min(max_k, 6) + 1):
+    for k in range(1, min(ctx.max_k, 6) + 1):
         coeffs = series_coefficients(k, 30)
         rk = r_polynomial(k)
         for n in range(31):
             if coeffs[n] != rk.evaluate(n):
                 bad.append(f"(k={k},n={n})")
-    report.add(
-        _mismatch_check(
-            "series-vs-slice-polynomial",
-            "Taylor coefficients of X^(k+1)(2X-3)^(k-1)/(X-1)^(k+1)",
-            "convolution",
-            bad,
-        )
+    yield _mismatch_check(
+        "series-vs-slice-polynomial",
+        "Taylor coefficients of X^(k+1)(2X-3)^(k-1)/(X-1)^(k+1)",
+        "convolution",
+        bad,
     )
 
+
+def _truncated_identity(ctx: VerifyContext):
     # truncated polynomial identity, where it holds, and slice agreement depth per k
     bad = []
-    top = min(max_k, 9)
+    top = min(ctx.max_k, 9)
     for k in range(1, top + 1):
         if q_polynomial(k).terms != sphere_polynomial(L1, 2 * k).terms:
             bad.append(f"k={k}")
-    report.add(
-        _mismatch_check(
-            "truncated-polynomial-identity",
-            "high-cell truncation equals the full sphere polynomial (k <= 9)",
-            "convolution",
-            bad,
-            k=f"1..{top}",
-        )
+    yield _mismatch_check(
+        "truncated-polynomial-identity",
+        "high-cell truncation equals the full sphere polynomial (k <= 9)",
+        "convolution",
+        bad,
+        k=f"1..{top}",
     )
     depths = {}
-    for k in range(1, max_k + 1):
+    for k in range(1, ctx.max_k + 1):
         pk = to_rational(sphere_polynomial(L1, 2 * k)).coefficients
         rk = to_rational(r_polynomial(k)).coefficients
         depth = -1
@@ -337,46 +323,77 @@ def run_verify(
                 break
             depth = d
         depths[k] = depth
-    report.add(
-        Check(
-            name="slice-agreement-depth",
-            formula="lowest degree at which the m=k+q slice still matches the full polynomial",
-            source="convolution",
-            values={f"k={k}": str(d) for k, d in depths.items()},
-            verdict=MATCH,
-        )
+    yield Check(
+        name="slice-agreement-depth",
+        formula="lowest degree at which the m=k+q slice still matches the full polynomial",
+        source="convolution",
+        values={f"k={k}": str(d) for k, d in depths.items()},
+        verdict=MATCH,
     )
 
+
+def _hamming(ctx: VerifyContext):
     # Hamming sphere formula vs oracle
     bad = []
-    for n in range(2, max_n + 1):
+    for n in range(2, ctx.max_n + 1):
         for j in range(n + 1):
-            if hamming_sphere(n, j) != oracle_sphere(HAMMING, n, j, cap=cap):
+            if hamming_sphere(n, j) != oracle_sphere(HAMMING, n, j, cap=ctx.cap):
                 bad.append(f"(n={n},j={j})")
-    report.add(
-        _mismatch_check(
-            "hamming-sphere-formula",
-            "derangement count times [n choose j] vs exhaustive count",
-            "oracle",
-            bad,
-        )
+    yield _mismatch_check(
+        "hamming-sphere-formula",
+        "derangement count times [n choose j] vs exhaustive count",
+        "oracle",
+        bad,
     )
 
+
+def _max_l1(ctx: VerifyContext):
     # maximal distances and maximizer counts
+    whole = ctx.whole(L1)
     bad = []
     for m, expected in MAX_L1_TABLE.items():
-        if m > max_n:
+        if m > ctx.max_n:
             continue
         got = max_l1(m)
-        brute = max(group_histogram(L1, m, cap=cap))
+        brute = max(whole[m])
         if got != expected or brute != expected:
             bad.append(f"m={m}: closed {got}, brute {brute}, expected {expected}")
-        if m in MAX_L1_SPHERE and oracle_sphere(L1, m, expected, cap=cap) != MAX_L1_SPHERE[m]:
-            bad.append(f"m={m}: maximizers {oracle_sphere(L1, m, expected, cap=cap)} vs {MAX_L1_SPHERE[m]}")
-    report.add(
-        _mismatch_check(
-            "max-l1-distances", "maximal l1 distance table and maximizer counts", "oracle", bad
-        )
+        if m in MAX_L1_SPHERE and whole[m].get(expected, 0) != MAX_L1_SPHERE[m]:
+            bad.append(f"m={m}: maximizers {whole[m].get(expected, 0)} vs {MAX_L1_SPHERE[m]}")
+    yield _mismatch_check(
+        "max-l1-distances", "maximal l1 distance table and maximizer counts", "oracle", bad
     )
 
+
+_CHECKS = (
+    _oracle_equivalence, _printed_polynomials, _closed_forms, _series, _truncated_identity, _hamming, _max_l1
+)
+
+
+def run_verify(
+    max_n: int = 6, max_k: int = 6, include_printed_p6: bool = False, *, cap: int = DEFAULT_MAX_DEGREE
+) -> VerifyReport:
+    if max_n < 2:
+        raise ValueError(f"max_n must be at least 2, got {max_n}")
+    if max_k < 1:
+        raise ValueError(f"max_k must be at least 1, got {max_k}")
+    # every degree the matrix sweeps: S_1..S_max_n, and S_7 for the disputed cell
+    check_cap(max(max_n, 7) if include_printed_p6 and max_k >= 6 else max_n, cap)
+
+    # each table's widest cell first, so that it grows once and its base is
+    # scanned once: l1 reads spheres of S_max_n, to radius max_l1(max_n), and
+    # cells of radius 2k with m - q <= k, for k <= max_k; Kendall reads
+    # spheres of S_max_n
+    beta(L1, 2 * max(max_l1(max_n) // 2, max_k), max(max_n - 1, max_k) + 1, 1)
+    beta(KENDALL, max_kendall(max_n), max_n, 1)
+
+    ctx = VerifyContext(max_n, max_k, include_printed_p6, cap)
+    report = VerifyReport()
+    for check in _CHECKS:
+        began = time.perf_counter()
+        checks = list(check(ctx))
+        log.debug(
+            "verify check %s: %d checks in %.3f s", check.__name__, len(checks), time.perf_counter() - began
+        )
+        report.checks.extend(checks)
     return report

@@ -3,6 +3,8 @@ import contextlib
 import csv
 import io
 import json
+import logging
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from permsphere import L1, cli, count_report, growth, oracle, oracle_sphere, pipeline, verify
+from permsphere import KENDALL, L1, cli, count_report, growth, oracle, oracle_sphere, pipeline, verify
 from permsphere.cli import main
 from permsphere.oracle import EnumerationCapError
 from permsphere.metrics import MetricId
@@ -281,6 +283,30 @@ class TestVerify:
     def test_disputed_cell_needs_k6(self):
         report = verify.run_verify(6, 5, True, cap=6)
         assert report.ok and "printed-polynomial-k6-disputed-cell" not in {c.name for c in report.checks}
+
+    def test_one_debug_line_per_check_function(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="permsphere.verify"):
+            report = verify.run_verify(2, 6, True)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("verify check ")]
+        names = [line.split()[2].rstrip(":") for line in lines]
+        counts = [int(line.split()[3]) for line in lines]
+        assert names == [check.__name__ for check in verify._CHECKS]
+        assert sum(counts) == len(report.checks)
+        assert counts[names.index("_printed_polynomials")] == 7
+
+    @pytest.mark.parametrize("metric", (L1, KENDALL), ids=("l1", "kendall"))
+    def test_whole_lists_each_group_histogram(self, metric):
+        ctx = verify.VerifyContext(6, 1, False, 6)
+        whole = ctx.whole(metric)
+        assert len(whole) == 7 and whole[0] == {0: 1}
+        for m in range(1, 7):
+            assert whole[m] == oracle.group_histogram(metric, m)
+            assert sum(whole[m].values()) == math.factorial(m)
+        # the caller owns what it gets: edits reach neither the memo nor the next call
+        expected = [dict(h) for h in whole]
+        whole[6][0] = -1
+        whole.append({})
+        assert ctx.whole(metric) == expected
 
 
 def _off_by_one(fn):
