@@ -1,7 +1,7 @@
 """The split-type pipeline: it counts connected parts in polynomial time,
 combines them through the composition convolution and weighs each (m, q)
-cell by the binomial [n+q-m choose q]; a query evaluates the cells it
-builds as one integer polynomial in n.
+cell by the binomial [n+q-m choose q]; a query, pipeline_sphere or
+pipeline_ball, evaluates the cells it builds as one integer polynomial in n.
 
 It is one of the two counting routes that check each other, so it never
 enumerates a symmetric group and never reads the oracle's sweep: of the
@@ -332,8 +332,10 @@ def expand_terms(terms: Terms) -> tuple[tuple[int, ...], int]:
     return tuple(a), denominator
 
 
-# A cell with m > n weighs [n+q-m choose q] = 0, so a query at degree n
-# builds only the cells with m <= n. Every cell has m <= 2 N(R) <= 2R, so
+# A query, pipeline_sphere or pipeline_ball, is one frame: it reads its form
+# and runs Horner's rule. A cell with m > n weighs
+# [n+q-m choose q] = 0, so a query at degree n builds only the cells with
+# m <= n. Every cell has m <= 2 N(R) <= 2R, so
 # top = min(n, 2R) keeps the memo keys bounded as n grows, and a polynomial
 # is the query at top = 2R: it shares its terms with every query at
 # n >= 2R. Every cell built has n + q - m >= q >= 0, where the guard never
@@ -366,8 +368,9 @@ def _sum_forms(
     return a[:skip] + tuple(x + scale * y for x, y in zip(a[skip:], b)), d
 
 
-# (metric, radius, top, ball) -> form: the memo behind _pipeline_form, a dict
-# so that a cold ball can find the nearest ball form built
+# (metric, radius, top, ball) -> form: the memo behind _pipeline_form, and
+# what pipeline_sphere and pipeline_ball read first; a dict so that a cold
+# ball can find the nearest ball form built
 _forms: dict[tuple[MetricId, int, int, bool], tuple[tuple[int, ...], int]] = {}
 
 
@@ -408,35 +411,40 @@ def _pipeline_form(
     return form
 
 
-def _pipeline_count(metric: MetricId, n: int, radius: int, ball: bool) -> int:
-    # a warm query is little more than this body, so it makes no call that a
-    # comparison or the form's stored order can replace
-    if n < 1:
-        raise ValueError("n must be positive")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    top = 2 * radius
-    key = metric, radius, n if n < top else top, ball
-    try:
-        coefficients, denominator = _forms[key]
-    except KeyError:
-        coefficients, denominator = _pipeline_form(*key)
-    total = 0
-    for c in coefficients:
-        total = total * n + c
-    count, rest = divmod(total, denominator)
-    if rest:
-        raise ArithmeticError(
-            f"pipeline count for {metric.name} at n={n}, radius={radius} is not an integer"
-        )
-    return count
+def _query(ball: bool, name: str, doc: str):
+    """pipeline_ball if ball, else pipeline_sphere, as one frame: a warm query
+    is little more than this body, so it makes no call that a comparison or
+    the form's stored order can replace."""
+
+    def query(metric: MetricId, n: int, radius: int) -> int:
+        if n < 1:
+            raise ValueError("n must be positive")
+        if radius < 0:
+            raise ValueError("radius must be nonnegative")
+        top = 2 * radius
+        key = metric, radius, n if n < top else top, ball
+        try:
+            coefficients, denominator = _forms[key]
+        except KeyError:
+            coefficients, denominator = _pipeline_form(*key)
+        total = 0
+        for c in coefficients:
+            total = total * n + c
+        count, rest = divmod(total, denominator)
+        if rest:
+            raise ArithmeticError(
+                f"pipeline count for {metric.name} at n={n}, radius={radius} is not an integer"
+            )
+        return count
+
+    query.__name__ = query.__qualname__ = name
+    query.__doc__ = doc
+    return query
 
 
-def pipeline_sphere(metric: MetricId, n: int, radius: int) -> int:
-    """Sphere cardinality via the split-type sum, exact for every n >= 1."""
-    return _pipeline_count(metric, n, radius, ball=False)
-
-
-def pipeline_ball(metric: MetricId, n: int, radius: int) -> int:
-    """Ball cardinality via the split-type sum, exact for every n >= 1."""
-    return _pipeline_count(metric, n, radius, ball=True)
+pipeline_sphere = _query(
+    False, "pipeline_sphere", "Sphere cardinality via the split-type sum, exact for every n >= 1."
+)
+pipeline_ball = _query(
+    True, "pipeline_ball", "Ball cardinality via the split-type sum, exact for every n >= 1."
+)

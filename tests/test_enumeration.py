@@ -972,6 +972,32 @@ class TestPipeline:
         a, denominator = expand_terms(ball_terms(KENDALL, 401, 32))
         assert pipeline._forms[KENDALL, 401, 32, True] == (a[::-1], denominator)
 
+    # a warm query is one Python frame: its own body, calling nothing but divmod
+    @pytest.mark.parametrize("query", [pipeline_sphere, pipeline_ball], ids=["sphere", "ball"])
+    @pytest.mark.parametrize(
+        "metric, n, radius", [(L1, 40, 8), (L1, 5, 8), (KENDALL, 12, 6), (KENDALL, 5, 6)],
+        ids=["l1-n-past-2r", "l1-n-below-2r", "kendall-n-past-2r", "kendall-n-below-2r"],
+    )
+    def test_warm_query_is_one_frame(self, query, metric, n, radius):
+        import sys
+
+        count = query(metric, n, radius)
+        calls, c_calls = [], []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code)
+            elif event == "c_call" and arg is not sys.setprofile:
+                c_calls.append(arg)
+
+        sys.setprofile(profile)
+        try:
+            assert query(metric, n, radius) == count
+        finally:
+            sys.setprofile(None)
+        assert calls == [query.__code__]
+        assert c_calls == [divmod]
+
     def test_ball_of_maximal_radius_is_the_group(self):
         for n in range(1, 12):
             assert pipeline_ball(L1, n, max_l1(n)) == math.factorial(n)

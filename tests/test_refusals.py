@@ -15,12 +15,14 @@ from permsphere import (
     hamming_sphere,
     oracle_ball,
     oracle_sphere,
+    pipeline_ball,
     pipeline_sphere,
     q_polynomial,
     r_polynomial,
     series_coefficients,
 )
 from permsphere.growth import derangements
+from permsphere import pipeline
 from permsphere.oracle import group_histogram
 from permsphere.pipeline import ball_terms, sphere_terms
 
@@ -42,6 +44,9 @@ REFUSALS = {
     "sphere-terms-radius": (sphere_terms, (L1, -1, 4), "radius must be nonnegative"),
     "ball-terms-radius": (ball_terms, (L1, -1, 4), "radius must be nonnegative"),
     "pipeline-n": (pipeline_sphere, (L1, 0, 2), "n must be positive"),
+    "pipeline-radius": (pipeline_sphere, (L1, 3, -1), "radius must be nonnegative"),
+    "pipeline-ball-n": (pipeline_ball, (L1, 0, 2), "n must be positive"),
+    "pipeline-ball-radius": (pipeline_ball, (L1, 3, -1), "radius must be nonnegative"),
 }
 
 
@@ -50,3 +55,20 @@ def test_refused(call, args, message):
     with pytest.raises(ValueError) as refused:
         call(*args)
     assert str(refused.value) == message
+
+
+def test_n_is_checked_before_the_stored_form():
+    # at radius 0, n = 1 stores the forms under top = 0, the key n = 0 maps to
+    assert pipeline_sphere(L1, 1, 0) == pipeline_ball(L1, 1, 0) == 1
+    assert {(L1, 0, 0, False), (L1, 0, 0, True)} <= pipeline._forms.keys()
+    for query in (pipeline_sphere, pipeline_ball):
+        with pytest.raises(ValueError) as refused:
+            query(L1, 0, 0)
+        assert str(refused.value) == "n must be positive"
+
+
+@pytest.mark.parametrize("query, kind", [(pipeline_sphere, "Sphere"), (pipeline_ball, "Ball")])
+def test_queries_keep_their_names(query, kind):
+    name = f"pipeline_{kind.lower()}"
+    assert (query.__name__, query.__qualname__, query.__module__) == (name, name, "permsphere.pipeline")
+    assert query.__doc__ == f"{kind} cardinality via the split-type sum, exact for every n >= 1."
