@@ -4,10 +4,11 @@ The binomial basis is the source of truth: a term (c, m, q) denotes
 c * [n+q-m choose q] with the i < 0 guard, so ``BinomialPoly.evaluate`` is
 an exact count for *every* n >= 1, not only in the polynomial range
 n >= N(R).  The monomial form is derived from the terms by one integer
-expansion, ``pipeline.expand_terms``: ``to_rational`` divides it out
-into exact rationals, and pipeline queries evaluate it by Horner's rule.
-Those queries build only the cells with m <= n, where n + q - m >= q >= 0
-and the guard never applies, so there the monomial form is the count.
+expansion, ``pipeline.expand_terms``: ``to_rational`` divides it out into
+a ``RationalPoly``, the one home of ``Fraction``, and pipeline queries
+evaluate it by Horner's rule.  Those queries build only the cells with
+m <= n, where n + q - m >= q >= 0 and the guard never applies, so there the
+monomial form is the count.  The l1 closed forms stay in integers.
 """
 from __future__ import annotations
 
@@ -162,6 +163,16 @@ def to_rational(poly: BinomialPoly) -> RationalPoly:
 # -- closed forms for l1 --------------------------------------------------
 
 
+def times_power_of_3(value: int, e: int, what: str) -> int:
+    """value * 3^e for any integer e; ArithmeticError if that is no integer."""
+    if e >= 0:
+        return value * 3**e
+    quotient, rest = divmod(value, 3**-e)
+    if rest:
+        raise ArithmeticError(f"{what} is not an integer")
+    return quotient
+
+
 def closed_form_beta(k: int, m: int, q: int):
     """beta_{l1}(2k, m, q) from a covered closed-form family, else NOT_COVERED.
 
@@ -171,8 +182,8 @@ def closed_form_beta(k: int, m: int, q: int):
     whenever 1 <= q <= k-6; it lives in ``verify.published_second_drop_beta``,
     where the verify matrix reports it as a paper discrepancy.
 
-    The boundary cases with a negative power of 3 are evaluated through an
-    exact rational intermediate and asserted to come out integral.
+    Each family is an integer times a power of 3, negative at its last cells,
+    where ``times_power_of_3`` divides exactly; past them the integer is 0.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -192,29 +203,18 @@ def closed_form_beta(k: int, m: int, q: int):
         return (2 * r + 1) * count if odd else count
     if m == k + q:
         return math.comb(k - 1, q - 1) * 3 ** (k - q)
+    what = f"closed form at (k={k}, m={m}, q={q})"
     if m == k + q - 1:
-        if q > k - 3:
-            return 0
-        return 4 * (k - 3) * math.comb(k - 4, q - 1) * 3 ** (k - q - 3)
+        return times_power_of_3(4 * (k - 3) * guarded_binom(k - 4, q - 1), k - q - 3, what)
     if m == k + q - 2:
-        if q > k - 5:
-            return 0
         inner = 2 * (k - 6) * guarded_binom(k - 7, q - 1) + 15 * guarded_binom(k - 6, q - 1)
-        value = Fraction(4 * (k - 5) * inner) * Fraction(3) ** (k - q - 6)
-        assert value.denominator == 1, f"non-integer closed form at (k={k}, m={m}, q={q})"
-        return value.numerator
+        return times_power_of_3(4 * (k - 5) * inner, k - q - 6, what)
     if q == k - 8 and m == 2 * k - 12 and k >= 9:
         return 36 * (k - 8)
     if m == k + q - 3:
-        if q > k - 7:
-            return 0
         d = k - q
-        value = (
-            Fraction(4 * (k - 7) * guarded_binom(k - 8, q - 1) * (8 * d * d + 60 * d - 137))
-            * Fraction(3) ** (k - q - 10)
-        )
-        assert value.denominator == 1, f"non-integer closed form at (k={k}, m={m}, q={q})"
-        return value.numerator
+        value = 4 * (k - 7) * guarded_binom(k - 8, q - 1) * (8 * d * d + 60 * d - 137)
+        return times_power_of_3(value, k - q - 10, what)
     return NOT_COVERED
 
 
@@ -264,9 +264,7 @@ def series_coefficients(k: int, count: int) -> list[int]:
         s = num[n] if n < len(num) else 0
         for j in range(1, min(n, k + 1) + 1):
             s -= den[j] * coeffs[n - j]
-        quot, rem = divmod(s, den[0])
-        assert rem == 0, "series division left a remainder"
-        coeffs.append(quot)
+        coeffs.append(s * den[0])  # den[0] = (-1)^(k+1) is its own inverse
     return coeffs
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import time
-from fractions import Fraction
 
 from .growth import (
     NOT_COVERED,
@@ -24,6 +23,7 @@ from .growth import (
     r_polynomial,
     series_coefficients,
     sphere_polynomial,
+    times_power_of_3,
     to_rational,
 )
 from .metrics import HAMMING, KENDALL, L1, max_kendall, max_l1
@@ -72,11 +72,8 @@ def published_second_drop_beta(k: int, q: int) -> int:
     Kept only to be reported against the table; ``closed_form_beta`` returns
     the enumeration-backed form, whose first term is twice this one's.
     """
-    value = Fraction(
-        4 * (k - 5) * ((k - 6) * guarded_binom(k - 7, q - 1) + 15 * guarded_binom(k - 6, q - 1))
-    ) * Fraction(3) ** (k - q - 6)
-    assert value.denominator == 1, f"non-integer published form at (k={k}, q={q})"
-    return value.numerator
+    inner = (k - 6) * guarded_binom(k - 7, q - 1) + 15 * guarded_binom(k - 6, q - 1)
+    return times_power_of_3(4 * (k - 5) * inner, k - q - 6, f"published form at (k={k}, q={q})")
 
 
 def disputed_beta_cell(k: int, m: int, q: int) -> bool:
@@ -311,7 +308,10 @@ def _truncated_identity(ctx: VerifyContext):
         bad,
         k=f"1..{top}",
     )
-    depths = {}
+    # the law: a part with positive excess has size >= 3, so a cell off the
+    # m = k+q slice has q <= k-3 parts and degree q; only the slice reaches
+    # n^k..n^(k-2), and from k = 4 the cell (2k-4, k-3), 4(k-3) > 0, moves n^(k-3)
+    values, bad = {}, []
     for k in range(1, ctx.max_k + 1):
         pk = to_rational(sphere_polynomial(L1, 2 * k)).coefficients
         rk = to_rational(r_polynomial(k)).coefficients
@@ -322,13 +322,17 @@ def _truncated_identity(ctx: VerifyContext):
             if a != b:
                 break
             depth = d
-        depths[k] = depth
+        values[f"k={k}"] = str(depth)
+        if depth != (0 if k <= 3 else k - 2):
+            bad.append(f"k={k}: depth {depth}")
+    if bad:
+        values["mismatches"] = "; ".join(bad)
     yield Check(
         name="slice-agreement-depth",
         formula="lowest degree at which the m=k+q slice still matches the full polynomial",
         source="convolution",
-        values={f"k={k}": str(d) for k, d in depths.items()},
-        verdict=MATCH,
+        values=values,
+        verdict=MISMATCH if bad else MATCH,
     )
 
 

@@ -340,6 +340,10 @@ MISMATCHES = {
         lambda mp: mp.setattr(verify, "q_polynomial", lambda k: growth.BinomialPoly(())),
         "truncated-polynomial-identity", 2, 1,
     ),
+    "slice-depth-law": (
+        lambda mp: mp.setattr(verify, "r_polynomial", lambda k: growth.sphere_polynomial(L1, 2 * k)),
+        "slice-agreement-depth", 2, 4,
+    ),
     "hamming-formula": (
         lambda mp: mp.setattr(verify, "hamming_sphere", lambda n, j: 0), "hamming-sphere-formula", 2, 1,
     ),

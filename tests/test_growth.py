@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -27,7 +28,7 @@ from permsphere import (
     to_rational,
 )
 from permsphere.pipeline import ball_terms, expand_terms, sphere_terms
-from permsphere.growth import derangements
+from permsphere.growth import derangements, times_power_of_3
 
 from helpers import rational_expansion, rencontres
 
@@ -261,6 +262,31 @@ class TestClosedFormBeta:
         assert seen == 1 + 2 + 3 + 4
         assert not disputed_beta_cell(6, 5, 1)
         assert closed_form_beta(6, 5, 1) == beta(L1, 12, 5, 1) == 20
+
+    # every cell to k = 80, past verify's k <= 40, with each family's last
+    # cells, where the power of 3 is negative (q = k-5 in the second drop,
+    # q = k-9..k-7 in the third); pinned from the Fraction forms these replaced
+    def test_values_match_the_pinned_digest(self):
+        from permsphere.verify import disputed_beta_cell, published_second_drop_beta
+
+        digest = hashlib.sha256()
+        for k in range(1, 81):
+            for q in range(1, k + 1):
+                for m in range(2 * q, k + q + 1):
+                    value = closed_form_beta(k, m, q)
+                    digest.update(f"{k} {m} {q} {'NOT_COVERED' if value is NOT_COVERED else value}\n".encode())
+                    if disputed_beta_cell(k, m, q):
+                        digest.update(f"published {k} {q} {published_second_drop_beta(k, q)}\n".encode())
+        for k in range(1, 13):
+            digest.update(f"series {k} {series_coefficients(k, 40)}\n".encode())
+        assert digest.hexdigest() == "0893d7c2578a37b6369525e8a665a2e7694242f6bc70eaab226938c6b0530119"
+
+    def test_times_power_of_3(self):
+        assert times_power_of_3(15, -1, "fifteen thirds") == 5
+        assert times_power_of_3(5, 2, "five nines") == 45
+        assert times_power_of_3(0, -7, "zero") == 0
+        with pytest.raises(ArithmeticError, match="x is not an integer"):
+            times_power_of_3(10, -1, "x")
 
 
 class TestQPolynomial:

@@ -112,3 +112,32 @@ def test_tracer_finds_every_entry_point():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"missing": [], "absent": []}
+
+
+def package_nodes():
+    """Each module of the package, by name, with every node of its syntax tree."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.stem, list(ast.walk(ast.parse(path.read_text())))
+
+
+# python -O drops assert statements, so an exactness check raises ArithmeticError
+def test_the_package_holds_no_assert():
+    found = [f"{module}:{node.lineno}" for module, nodes in package_nodes()
+             for node in nodes if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+# Fraction is the monomial view's type; the closed forms stay in integers
+def test_only_growth_imports_fractions():
+    importers = set()
+    for module, nodes in package_nodes():
+        for node in nodes:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if "fractions" in (name.partition(".")[0] for name in names):
+                importers.add(module)
+    assert importers == {"growth"}
